@@ -9,7 +9,7 @@ import sys
 
 from .charfn import check_equivalence, full_char_poly, h_via_a, h_via_d
 from .engine import identity_coeffs, newton_coeffs, osp_specialize
-from .matrices import random_supermatrix
+from .matrices import check_sampler_args, random_supermatrix
 from .verifier import verify_batch
 
 EXIT_OK = 0
@@ -150,6 +150,12 @@ def cmd_newton(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("verify", "charfn"):
+        try:
+            check_sampler_args(args.generators, args.soul_grade)
+        except ValueError as exc:
+            print(f"superch {args.command}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     handlers = {
         "derive": cmd_derive,
         "verify": cmd_verify,

@@ -6,21 +6,87 @@ holds with a_j a weighted-homogeneous polynomial of degree 2pq+j in the
 supertrace symbols S1..Sn (n = p+q).  The coefficients come from the
 generating function F(S,t) = (1 - sum mu_k t^k)^2 G(S,t) with
 G(S,t) = exp(-sum S_i t^i / i); the mu_k solve a Toeplitz linear system in
-the classical Newton coefficients b_j, and scaling by (det B)^2 clears all
-denominators.  Everything is exact rational arithmetic.
+the classical Newton coefficients b_j, and scaling by (det B)^2 clears the
+denominators of the mu_k.
+
+The whole pipeline runs over Z, not Q.  The Newton coefficient b_j is a
+sum over partitions lambda of j of (-1)^len(lambda) S_lambda / z_lambda,
+and j!/z_lambda is the size of a conjugacy class of the symmetric group,
+so j!*b_j has integer coefficients, and so does n!*b_j for every j <= n.
+_b_matrix_z and _mu_z therefore compute n!*b_j, the B-matrix n!*B,
+det(n!*B) = (n!)^q det B and the numerators (n!)^q nu_k, and
+identity_coeffs forms the series product (n!)^(2q+1) (det B)^2 F, all as
+integer polynomials on packed monomial keys.  The one division happens in
+_renormalize, which divides every coefficient by the S1^(2pq) coefficient
+of the top one: the common scale cancels there, and rationals first
+appear there.  newton_coeffs, build_b_matrix and solve_mu read
+the same integer results and divide by their own power of n! on the way
+out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 from .matrices import adjugate, det
-from .poly import SPoly, SRational, TruncSeries
+from .poly import SPoly, SRational, TruncSeries, _Packing, _ZPoly
 
 
 class DerivationError(RuntimeError):
     """The generating-function pipeline produced an inconsistent result."""
+
+
+def _newton_z(packing: _Packing, count: int):
+    """count! * b_j for j = 0..count, as integer polynomials.
+
+    From j*b_j = -sum_i S_i b_(j-i): the sum is exactly divisible by j
+    because count! * b_j is integral (see the module docstring).
+    """
+    scale = factorial(count)
+    b = [_ZPoly({0: scale})]
+    syms = [packing.symbol(i) for i in range(1, min(count, packing.nsym) + 1)]
+    for j in range(1, count + 1):
+        acc = _ZPoly()
+        for i in range(1, min(j, packing.nsym) + 1):
+            acc = acc + syms[i - 1] * b[j - i]
+        terms = {}
+        for k, c in acc.terms.items():
+            quot, rem = divmod(-c, j)
+            if rem:
+                raise DerivationError("Newton coefficient is not integral")
+            terms[k] = quot
+        b.append(_ZPoly(terms))
+    return b
+
+
+def _b_matrix_z(p: int, q: int):
+    """(packing, [n! b_j for j <= n], n! B): the B-matrix over Z."""
+    if p < 1 or q < 1:
+        raise ValueError("p and q must be >= 1")
+    if q > p:
+        raise ValueError("use sign-flip dual")
+    n = p + q
+    # 2pq + n is the largest weighted degree in the pipeline (that of a_n)
+    packing = _Packing(n, 2 * p * q + n)
+    b = _newton_z(packing, n)
+    zero = _ZPoly()
+    bmat = [[b[p + i - j] if p + i - j >= 0 else zero for j in range(q)] for i in range(q)]
+    return packing, b, bmat
+
+
+def _mu_z(p: int, q: int):
+    """(packing, [n! b_j], (n!)^q det B, [(n!)^q nu_k]) with nu_k = det(B) mu_k."""
+    packing, b, bmat = _b_matrix_z(p, q)
+    one = _ZPoly({0: 1})
+    det_b = det(bmat, one=one)
+    if not det_b:
+        raise DerivationError("B-matrix determinant vanished identically")
+    adj = adjugate(bmat, one)
+    rhs = [b[p + k] for k in range(1, q + 1)]
+    nus = [sum((adj[i][j] * rhs[j] for j in range(q)), _ZPoly()) for i in range(q)]
+    return packing, b, det_b, nus
 
 
 def newton_coeffs(nsym: int, count: int):
@@ -31,54 +97,24 @@ def newton_coeffs(nsym: int, count: int):
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    b = [SPoly.one(nsym)]
-    syms = SPoly.symbols(nsym)
-    for j in range(1, count + 1):
-        acc = SPoly.zero(nsym)
-        for i in range(1, min(j, nsym) + 1):
-            acc = acc + syms[i - 1] * b[j - i]
-        b.append(acc * Fraction(-1, j))
-    return b
-
-
-def _b_padded(b, k, nsym):
-    """b_k with b_(k<0) = 0."""
-    if k < 0:
-        return SPoly.zero(nsym)
-    return b[k]
+    packing = _Packing(nsym, count)
+    scale = factorial(count)
+    return [packing.to_spoly(c, scale) for c in _newton_z(packing, count)]
 
 
 def build_b_matrix(p: int, q: int):
     """The q x q Toeplitz matrix with entry(i,j) = b_(p+i-j), 1-indexed."""
-    if p < 1 or q < 1:
-        raise ValueError("p and q must be >= 1")
-    if q > p:
-        raise ValueError("use sign-flip dual")
-    nsym = p + q
-    b = newton_coeffs(nsym, nsym)
-    return [
-        [_b_padded(b, p + i - j, nsym) for j in range(q)]
-        for i in range(q)
-    ]
+    packing, _, bmat = _b_matrix_z(p, q)
+    scale = factorial(p + q)
+    return [[packing.to_spoly(e, scale) for e in row] for row in bmat]
 
 
 def solve_mu(p: int, q: int):
     """The mu_k correction terms as unreduced quotients over det(B)."""
-    nsym = p + q
-    bmat = build_b_matrix(p, q)
-    b = newton_coeffs(nsym, nsym)
-    det_b = det(bmat, one=SPoly.one(nsym))
-    if not det_b:
-        raise DerivationError("B-matrix determinant vanished identically")
-    adj = adjugate(bmat, SPoly.one(nsym))
-    rhs = [b[p + k] for k in range(1, q + 1)]
-    nus = []
-    for i in range(q):
-        acc = SPoly.zero(nsym)
-        for j in range(q):
-            acc = acc + adj[i][j] * rhs[j]
-        nus.append(acc)
-    return [SRational(nu, det_b) for nu in nus]
+    packing, _, det_b, nus = _mu_z(p, q)
+    scale = factorial(p + q) ** q
+    den = packing.to_spoly(det_b, scale)
+    return [SRational(packing.to_spoly(nu, scale), den) for nu in nus]
 
 
 @dataclass
@@ -102,8 +138,8 @@ class CHIdentity:
         return self.coeffs[0].nsym
 
     def flip_signs(self) -> "CHIdentity":
-        flipped = [c.flip_signs() for c in self.coeffs]
-        return CHIdentity(self.q, self.p, _renormalize(flipped, 2 * self.p * self.q))
+        # S1^(2pq) has even degree, so Sj -> -Sj keeps its coefficient +1
+        return CHIdentity(self.q, self.p, [c.flip_signs() for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, CHIdentity):
@@ -152,15 +188,12 @@ class CHIdentity:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _renormalize(coeffs, lead_degree):
-    """Rescale so the S1^lead_degree coefficient of coeffs[0] is +1."""
-    nsym = coeffs[0].nsym
-    target = tuple([lead_degree] + [0] * (nsym - 1))
-    c = coeffs[0].coeff_of(target)
+def _renormalize(packing: _Packing, coeffs, lead_degree):
+    """coeffs as SPolys, scaled so coeffs[0] has S1^lead_degree coefficient +1."""
+    c = coeffs[0].terms.get(packing.pack((lead_degree,) + (0,) * (packing.nsym - 1)))
     if not c:
         raise DerivationError("leading S1 monomial vanished; cannot normalize")
-    inv = 1 / c
-    return [x * inv for x in coeffs]
+    return [packing.to_spoly(x, c) for x in coeffs]
 
 
 def identity_coeffs(p: int, q: int) -> CHIdentity:
@@ -171,34 +204,19 @@ def identity_coeffs(p: int, q: int) -> CHIdentity:
         return identity_coeffs(q, p).flip_signs()
 
     n = p + q
-    nsym = n
-    b = newton_coeffs(nsym, nsym)
     if q == 0:
         # classical Cayley-Hamilton: F = G, no B-matrix, b_0 = 1 already
-        return CHIdentity(p, 0, list(b))
+        return CHIdentity(p, 0, newton_coeffs(n, n))
 
-    bmat = build_b_matrix(p, q)
-    det_b = det(bmat, one=SPoly.one(nsym))
-    if not det_b:
-        raise DerivationError("B-matrix determinant vanished identically")
-    adj = adjugate(bmat, SPoly.one(nsym))
-    rhs = [b[p + k] for k in range(1, q + 1)]
-    nus = []
-    for i in range(q):
-        acc = SPoly.zero(nsym)
-        for j in range(q):
-            acc = acc + adj[i][j] * rhs[j]
-        nus.append(acc)
-
+    packing, b, det_b, nus = _mu_z(p, q)
     # det(B) * (1 - sum mu_k t^k) = det(B) - sum nu_k t^k stays polynomial,
-    # so squaring and multiplying by G gives (det B)^2 * F directly.
-    zero = SPoly.zero(nsym)
+    # so squaring and multiplying by G gives (det B)^2 * F directly, here
+    # times (n!)^(2q+1), which _renormalize divides out.
+    zero = _ZPoly()
     scaled = [det_b] + [-nu for nu in nus] + [zero] * (n - q)
-    series = TruncSeries(n, scaled[: n + 1])
-    g = TruncSeries(n, b[: n + 1])
-    f_scaled = series.square() * g
+    f_scaled = TruncSeries(n, scaled).square() * TruncSeries(n, b)
 
-    coeffs = _renormalize(f_scaled.coeffs, 2 * p * q)
+    coeffs = _renormalize(packing, f_scaled.coeffs, 2 * p * q)
 
     for j, c in enumerate(coeffs):
         if not c.is_weighted_homogeneous(2 * p * q + j):
@@ -235,6 +253,22 @@ def _from_sympy(expr, nsym, syms) -> SPoly:
     return SPoly(nsym, terms)
 
 
+def _osp_parts(ident: CHIdentity):
+    """Coefficients with S1, S3, ... set to zero, and their polynomial GCD."""
+    import sympy
+
+    specialized = [c.zero_odd_symbols() for c in ident.coeffs]
+    nonzero = [c for c in specialized if c]
+    if not nonzero:
+        raise ValueError("vacuous OSp identity")
+    nsym = ident.nsym
+    syms = [sympy.Symbol(f"S{j}") for j in range(1, nsym + 1)]
+    gcd_expr = sympy.Integer(0)
+    for c in nonzero:
+        gcd_expr = sympy.gcd(gcd_expr, _to_sympy(c, syms))
+    return specialized, _from_sympy(sympy.expand(gcd_expr), nsym, syms)
+
+
 def osp_specialize(ident: CHIdentity) -> CHIdentity:
     """Specialize to OSp: kill odd-index supertraces, strip common factor.
 
@@ -243,24 +277,8 @@ def osp_specialize(ident: CHIdentity) -> CHIdentity:
     factor which is divided out, and the result is rescaled so the leading
     (graded-lex) monomial of the top coefficient has coefficient +1.
     """
-    import sympy
-
-    specialized = [c.zero_odd_symbols() for c in ident.coeffs]
-    nonzero = [c for c in specialized if c]
-    if not nonzero:
-        raise ValueError("vacuous OSp identity")
-
-    nsym = ident.nsym
-    syms = [sympy.Symbol(f"S{j}") for j in range(1, nsym + 1)]
-    gcd_expr = sympy.Integer(0)
-    for c in nonzero:
-        gcd_expr = sympy.gcd(gcd_expr, _to_sympy(c, syms))
-    common = _from_sympy(sympy.expand(gcd_expr), nsym, syms)
-
-    reduced = [
-        c.divide_exact(common) if c else c
-        for c in specialized
-    ]
+    specialized, common = _osp_parts(ident)
+    reduced = [c.divide_exact(common) if c else c for c in specialized]
     if not reduced[0]:
         raise DerivationError("leading OSp coefficient vanished")
     _, lead_coeff = reduced[0].lead()
@@ -270,18 +288,7 @@ def osp_specialize(ident: CHIdentity) -> CHIdentity:
 
 def osp_common_factor(ident: CHIdentity) -> SPoly:
     """The common factor removed by osp_specialize (for reporting)."""
-    import sympy
-
-    specialized = [c.zero_odd_symbols() for c in ident.coeffs]
-    nonzero = [c for c in specialized if c]
-    if not nonzero:
-        raise ValueError("vacuous OSp identity")
-    nsym = ident.nsym
-    syms = [sympy.Symbol(f"S{j}") for j in range(1, nsym + 1)]
-    gcd_expr = sympy.Integer(0)
-    for c in nonzero:
-        gcd_expr = sympy.gcd(gcd_expr, _to_sympy(c, syms))
-    return _from_sympy(sympy.expand(gcd_expr), nsym, syms)
+    return _osp_parts(ident)[1]
 
 
 def factorize_small(ident: CHIdentity):

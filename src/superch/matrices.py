@@ -298,6 +298,17 @@ def _random_odd(rng, n_gen, max_soul_grade, n_terms=2):
     return Multivector(n_gen, terms)
 
 
+def check_sampler_args(n_gen, max_soul_grade):
+    """Reject a generator count or soul grade the samplers cannot honour.
+
+    Without this, blade pools are silently clipped to the n_gen generators.
+    """
+    if n_gen < 1:
+        raise ValueError("n_gen must be >= 1")
+    if max_soul_grade > n_gen:
+        raise ValueError(f"max_soul_grade {max_soul_grade} exceeds n_gen {n_gen}")
+
+
 def random_supermatrix_raw(p, q, n_gen, seed, max_soul_grade=3) -> SuperMatrix:
     """One seeded random sample; may be degenerate (no resampling)."""
     rng = random.Random(seed)
@@ -318,10 +329,7 @@ def random_supermatrix(p, q, n_gen, seed, max_soul_grade=3, max_retries=100) -> 
     """Seeded random supermatrix with A/D body spectra guaranteed disjoint."""
     from .verifier import check_degenerate
 
-    if n_gen < 1:
-        raise ValueError("n_gen must be >= 1")
-    if max_soul_grade > n_gen:
-        raise ValueError("max_soul_grade exceeds n_gen")
+    check_sampler_args(n_gen, max_soul_grade)
     for attempt in range(max_retries):
         m = random_supermatrix_raw(p, q, n_gen, seed * 1000003 + attempt, max_soul_grade)
         if not check_degenerate(m):

@@ -4,12 +4,26 @@ The symbol Sj carries weight j, so the weighted degree of a monomial
 S1^e1 * ... * Sn^en is sum(j * ej).  Coefficients are exact rationals.
 Also provides rational pairs and order-truncated power series in a formal
 variable t, which is all the generating-function machinery needs.
+
+Every sparse product runs in one kernel, ``_mul_terms``, on packed monomial
+keys (Kronecker substitution).  With a slot width of w bits the monomial
+S1^e1 * ... * Sn^en packs to the integer e1 + (e2 << w) + ... +
+(en << (n-1)*w), so multiplying two monomials is adding their keys.  This
+is exact as long as no exponent of a product reaches 2^w, since a larger
+one would carry into the next symbol's slot; ``_Packing`` therefore takes
+w from the largest exponent a product can hold.  ``SPoly.__mul__`` packs
+its operands for each product; the derivation instead works in ``_ZPoly``,
+integer polynomials that stay packed throughout, with the bound taken from
+the largest weighted degree D it reaches (no exponent of a polynomial of
+weighted degree at most D exceeds D).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 
 class NotDivisibleError(ValueError):
@@ -33,6 +47,101 @@ def grlex_key(exps):
     return (sum(exps), exps)
 
 
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Sparse product of two {packed key: coeff} dicts."""
+    acc = {}
+    get = acc.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            prev = get(k)
+            acc[k] = c1 * c2 if prev is None else prev + c1 * c2
+    return {k: c for k, c in acc.items() if c}
+
+
+def _add_terms(a: dict, b: dict) -> dict:
+    """Sparse sum of two {monomial key: coeff} dicts."""
+    out = dict(a)
+    for k, c in b.items():
+        prev = out.get(k)
+        if prev is None:
+            out[k] = c
+        else:
+            s = prev + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+class _Packing:
+    """Packs exponent vectors of ``nsym`` symbols into integer keys.
+
+    ``max_exp`` bounds every exponent of every polynomial packed with this
+    instance, products included; the slot width is its bit length.
+    """
+
+    __slots__ = ("nsym", "shifts", "mask")
+
+    def __init__(self, nsym: int, max_exp: int):
+        width = max(max_exp, 1).bit_length()
+        self.nsym = nsym
+        self.shifts = [width * j for j in range(nsym)]
+        self.mask = (1 << width) - 1
+
+    def pack(self, exps) -> int:
+        return sum(e << s for e, s in zip(exps, self.shifts))
+
+    def unpack(self, key: int) -> tuple:
+        mask = self.mask
+        return tuple((key >> s) & mask for s in self.shifts)
+
+    def symbol(self, j: int) -> "_ZPoly":
+        """Sj as an integer polynomial."""
+        return _ZPoly({1 << self.shifts[j - 1]: 1})
+
+    def to_spoly(self, poly: "_ZPoly", denominator: int) -> "SPoly":
+        """poly / denominator as an SPoly over Q."""
+        out = SPoly.__new__(SPoly)
+        out.nsym = self.nsym
+        out.terms = {
+            self.unpack(k): Fraction(c, denominator) for k, c in poly.terms.items()
+        }
+        return out
+
+
+class _ZPoly:
+    """Polynomial over Z on packed keys; the ring the derivation runs in.
+
+    Supports +, unary - and * only, which is all ``det``, ``adjugate`` and
+    ``TruncSeries`` need; the ``_Packing`` that built it converts it to SPoly.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        """``terms`` maps packed keys to nonzero ints; it is not copied."""
+        self.terms = {} if terms is None else terms
+
+    def __add__(self, other):
+        return _ZPoly(_add_terms(self.terms, other.terms))
+
+    def __neg__(self):
+        return _ZPoly({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        return _ZPoly(_mul_terms(self.terms, other.terms))
+
+    def __eq__(self, other):
+        if not isinstance(other, _ZPoly):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
 class SPoly:
     """Polynomial over Q in symbols S1..Sn, stored as exponent-tuple -> coeff."""
 
@@ -44,6 +153,8 @@ class SPoly:
             for exps, coeff in terms.items():
                 if len(exps) != nsym:
                     raise ValueError("exponent vector length mismatch")
+                if any(e < 0 for e in exps):
+                    raise ValueError("negative exponent")
                 coeff = _as_fraction(coeff)
                 if coeff:
                     clean[tuple(exps)] = coeff
@@ -89,16 +200,9 @@ class SPoly:
         if not isinstance(other, SPoly):
             return NotImplemented
         self._check_same(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps, Fraction(0)) + coeff
-            if acc:
-                terms[exps] = acc
-            else:
-                terms.pop(exps, None)
         out = SPoly.__new__(SPoly)
         out.nsym = self.nsym
-        out.terms = terms
+        out.terms = _add_terms(self.terms, other.terms)
         return out
 
     __radd__ = __add__
@@ -127,23 +231,18 @@ class SPoly:
         if not isinstance(other, SPoly):
             return NotImplemented
         self._check_same(other)
-        acc = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                prev = acc.get(e)
-                if prev is None:
-                    acc[e] = c
-                else:
-                    s = prev + c
-                    if s:
-                        acc[e] = s
-                    else:
-                        del acc[e]
         out = SPoly.__new__(SPoly)
         out.nsym = self.nsym
-        out.terms = acc
+        if not self.terms or not other.terms:
+            out.terms = {}
+            return out
+        packing = _Packing(self.nsym, _max_exponent(self.terms) + _max_exponent(other.terms))
+        pack, unpack = packing.pack, packing.unpack
+        product = _mul_terms(
+            {pack(e): c for e, c in self.terms.items()},
+            {pack(e): c for e, c in other.terms.items()},
+        )
+        out.terms = {unpack(k): c for k, c in product.items()}
         return out
 
     __rmul__ = __mul__
@@ -374,6 +473,10 @@ class SPoly:
         return cls(nsym, {tuple(t["exponents"]): Fraction(t["coeff"]) for t in data})
 
 
+def _max_exponent(terms) -> int:
+    return max(max(exps, default=0) for exps in terms)
+
+
 def _isqrt_exact(n: int):
     from math import isqrt
 
@@ -403,7 +506,11 @@ class SRational:
 
 
 class TruncSeries:
-    """Power series in t truncated after t^order; coefficients are SPoly."""
+    """Power series in t truncated after t^order.
+
+    The coefficients may lie in any commutative ring with + and *: SPoly,
+    or the integer kernel _ZPoly that the derivation runs on.
+    """
 
     __slots__ = ("order", "coeffs")
 
@@ -425,19 +532,26 @@ class TruncSeries:
             return NotImplemented
         if self.order != other.order:
             raise ValueError("order mismatch")
-        nsym = self.coeffs[0].nsym
-        out = [SPoly.zero(nsym) for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.order, out)
+        a, b = self.coeffs, other.coeffs
+        return TruncSeries(
+            self.order,
+            [reduce(add, (a[i] * b[k - i] for i in range(k + 1))) for k in range(self.order + 1)],
+        )
 
     def square(self) -> "TruncSeries":
-        return self * self
+        """self * self, computing each cross term a_i * a_j (i < j) once."""
+        a = self.coeffs
+        out = []
+        for k in range(self.order + 1):
+            term = None
+            if k:
+                cross = reduce(add, (a[i] * a[k - i] for i in range((k + 1) // 2)))
+                term = cross + cross
+            if k % 2 == 0:
+                diagonal = a[k // 2] * a[k // 2]
+                term = diagonal if term is None else term + diagonal
+            out.append(term)
+        return TruncSeries(self.order, out)
 
     def scale(self, value) -> "TruncSeries":
         return TruncSeries(self.order, [c * value for c in self.coeffs])

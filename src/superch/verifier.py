@@ -16,7 +16,7 @@ from fractions import Fraction
 from .charfn import char_poly_block
 from .engine import CHIdentity, identity_coeffs
 from .grassmann import Multivector
-from .matrices import SuperMatrix, random_supermatrix_raw
+from .matrices import SuperMatrix, check_sampler_args, random_supermatrix_raw
 
 
 def _body_char_poly(block, n_gen):
@@ -215,6 +215,7 @@ def verify_batch(
     """Derive the (p,q) identity once, then test seeded random samples."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    check_sampler_args(n_gen, max_soul_grade)
     start = time.perf_counter()
     if identity is None:
         identity = identity_coeffs(p, q)

@@ -10,6 +10,15 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def assert_usage_error(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "exceeds" in captured.err
+
+
 class TestDerive:
     def test_text(self, capsys):
         code, out = run(capsys, "derive", "1", "1")
@@ -73,7 +82,14 @@ class TestVerify:
         assert "seed=123" in out
 
 
+    def test_soul_grade_above_generators_is_usage_error(self, capsys):
+        assert_usage_error(capsys, "verify", "2", "1", "--generators", "2", "--soul-grade", "5")
+
+
 class TestCharfn:
+    def test_soul_grade_above_generators_is_usage_error(self, capsys):
+        assert_usage_error(capsys, "charfn", "2", "1", "--generators", "2", "--soul-grade", "5")
+
     def test_equivalence_reported(self, capsys):
         code, out = run(capsys, "charfn", "1", "1", "--seed", "1")
         assert code == 0

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -8,6 +10,7 @@ from superch import (
     CHIdentity,
     SPoly,
     SRational,
+    adjugate,
     build_b_matrix,
     det,
     factorize_small,
@@ -205,3 +208,110 @@ class TestRendering:
         text = identity_coeffs(2, 1).to_text()
         for token in ("[M^3]", "[M^2]", "[M]", "[I]"):
             assert token in text
+
+
+def _digest(data):
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the compact sorted-key JSON of each output, recorded from the
+# Fraction-arithmetic implementation; any change to a derived byte fails.
+IDENTITY_DIGESTS = {
+    (1, 1): "81df7394147ff1169673786a0dfe8d40e4da67bda46434fa6156dc354615520f",
+    (1, 2): "3f7d5b4cc7f3edbbabb735b3dd8223b6d33306eb9f13f7da11f4bb706a135ea5",
+    (1, 3): "c792e9e788fbfa38ae1b14449d096050acb821bbf5d98dffa23fe94e3ba347ff",
+    (1, 4): "cc2ea5dc0f47d85b511defcb6bcc38815cd4336b0754a49e273609e491598b1b",
+    (1, 5): "3534ddeb72410bb8b84df0115cbc3b1bd7f5e72108314c8e4061f813c958375b",
+    (2, 1): "76efcc27a15c60ff42a1aa7d7ff1a91f68a8b12a7e4f2cfa3bfbb3a0236cf113",
+    (2, 2): "ae9ca2b825a7951d1633c50cae4dac4bf97c00b6ddef1e7684eb56808ffea895",
+    (2, 3): "170d97a8b53f72ca51e09938e646a41ec29f223134b6db73740213d8374e7f9e",
+    (2, 4): "75c340428110a587748e7b09b1abe317214235e333af860b671a210e51d8d245",
+    (3, 1): "5bfacfe9ea306f111c3dcf04188ad0fd8768ae14117571f0b2f1e9d98836dd3d",
+    (3, 2): "744fb9883d62cce9ab775e32c9d8fcf94b6680d6398c0a1cfa299234abad9886",
+    (3, 3): "70b8ce39e33f245ad4ef1a67a9c2729d882382b6d035c804091c3b9a2109d877",
+    (4, 1): "189bec741c3a7568fb54d74ee66520f55b854e257b6452345d0178afdafbcaab",
+    (4, 2): "b6adef49e1852e531617810edc81de17ee4a9a79b782e9110c27442e74bdeb23",
+    (5, 1): "c2a969ee3f7880585813c3d5186162bccd005a54728c27cc405fbf255e2aa9ef",
+}
+
+OSP_DIGESTS = {
+    (2, 2): "f5a8f4ded2613b153163b1e8b59450de2f9d5adfebcb4f0c4abe86655e5b0ec4",
+    (4, 2): "81d792f4e790479cb46e41250d025c3acf861be8432cc5d18393ae71410eed36",
+}
+
+NEWTON_DIGESTS = {
+    1: "746a01da290434562eb369692dfc3d3c81b2f5e8de7e6e0355e935b89c167d70",
+    2: "2ead7e9eaac3699865fd8d0f6c342e63eb220c8f6dc82027c3de66a17bc134b2",
+    3: "3c2cc76dc612da3c12907f08f6ddf9ca39de1a4db9c5bc589213dca6f548218e",
+    4: "2ccfb3a01f7df32ca5f428cc94784ff4bdc0f8b6c58881ac2862df9347c82d01",
+    5: "69935b2829e836db1edb7eac3c84303679921415da9fcc9aecc7c530e4b8545d",
+    6: "13eead10c489c7ab47988e300f330676c112f9f1fb9cbac0f1e0a344d1e8b251",
+}
+
+B_MATRIX_DIGESTS = {
+    (1, 1): "707ebd88bd265e318a7af84380959c5b89ca35cdcb3d6e3971592a23f3a578c5",
+    (2, 1): "e2c68829ce6eddaac9d354fa294b02f71009f8545dd07058e6240ecb883fe490",
+    (2, 2): "1985184213a3be1ab5768b01196401d1aa622bd2cadb57a74a369e7b22eb277f",
+    (3, 1): "34aa5866c790c7118033a1506074a615b4244310cd14782c1562082072b69aa8",
+    (3, 2): "f39a00d18878f306f033986294933114878af196c7f8a96addc421f5df74e5f7",
+    (3, 3): "79b2bb5d3234c32f3e1cd07670ccf06c03ecf9ef342a422ec702acc9d66d964b",
+    (4, 1): "1e0a0ad6e137a82f04fe54904eae2523a8e3ab26834cd10dafb63a9f35e7d85b",
+    (4, 2): "0be7ad7aa8cd9dd9cf1b2532e534c89f8d540cc1cc7ff40a88eb98b59e0fbc47",
+    (5, 1): "11f0b1841f3e61b60754aee2bacd7125b8d063588348d7aa08272915b62d19d1",
+}
+
+MU_DIGESTS = {
+    (1, 1): "f91603f6f7335511d2a2531372414d57190ff71b4d2c10f52717604b759577a2",
+    (2, 1): "3f89b158d907d3758f519fdc6f53c7ff92f0babd5f965d0a093a567c0107a767",
+    (2, 2): "6670b0985b370125f7ade7f14dd97b0e588ce0389eb8de829b35f66d1cbb0c3a",
+    (3, 1): "2b4eaf4c87473cc33cfea503c4aa469c4bdaccf1721f6839e1bbbaca3d040a59",
+    (3, 2): "fd3727fd0b794e3ff118290bab2e1dc97cbedaa881eec5d4bd351f4aa432993b",
+    (3, 3): "1efe9d3cb70aae13cadc177405ef015be31cc8d23e36f8fab526c1b2a32c2dfe",
+    (4, 1): "b10bf4a2e7c0450c6956f213b5ef256d3a98f5eaadc4a8bbccbdf6dc7be00c4f",
+    (4, 2): "53b79d705c7342b179d9fc900e46a8fd332d3c76eadb9a2fe9ce8c2eb2b373be",
+    (5, 1): "ef2c5844a9061cac2cfeaa926a8e92da9b81d21c2a38098474b572cc2187b895",
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("pq", sorted(IDENTITY_DIGESTS))
+    def test_identity(self, pq):
+        assert _digest(identity_coeffs(*pq).to_json()) == IDENTITY_DIGESTS[pq]
+
+    @pytest.mark.parametrize("pq", sorted(OSP_DIGESTS))
+    def test_osp(self, pq):
+        ident = osp_specialize(identity_coeffs(*pq))
+        assert _digest(ident.to_json()) == OSP_DIGESTS[pq]
+
+    @pytest.mark.parametrize("n", sorted(NEWTON_DIGESTS))
+    def test_newton(self, n):
+        coeffs = newton_coeffs(n, n + 2)
+        assert _digest([c.to_json() for c in coeffs]) == NEWTON_DIGESTS[n]
+
+    @pytest.mark.parametrize("pq", sorted(B_MATRIX_DIGESTS))
+    def test_b_matrix(self, pq):
+        bmat = build_b_matrix(*pq)
+        assert _digest([[e.to_json() for e in row] for row in bmat]) == B_MATRIX_DIGESTS[pq]
+
+    @pytest.mark.parametrize("pq", sorted(MU_DIGESTS))
+    def test_solve_mu(self, pq):
+        mus = solve_mu(*pq)
+        pairs = [[m.numerator.to_json(), m.denominator.to_json()] for m in mus]
+        assert _digest(pairs) == MU_DIGESTS[pq]
+
+    @pytest.mark.parametrize("pq", sorted(MU_DIGESTS))
+    def test_solve_mu_against_rational_cramer(self, pq):
+        # reference: det and adjugate of the public B-matrix over Q
+        p, q = pq
+        nsym = p + q
+        bmat = build_b_matrix(p, q)
+        b = newton_coeffs(nsym, nsym)
+        one = SPoly.one(nsym)
+        det_b = det(bmat, one=one)
+        adj = adjugate(bmat, one)
+        for i, mu in enumerate(solve_mu(p, q)):
+            nu = SPoly.zero(nsym)
+            for j in range(q):
+                nu = nu + adj[i][j] * b[p + j + 1]
+            assert mu == SRational(nu, det_b)

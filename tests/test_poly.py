@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from superch import (
     Multivector,
@@ -11,6 +13,7 @@ from superch import (
     SRational,
     TruncSeries,
 )
+from superch.poly import _Packing, _ZPoly
 
 
 def syms(n=3):
@@ -35,6 +38,10 @@ class TestArithmetic:
     def test_symbol_count_mismatch(self):
         with pytest.raises(ValueError):
             SPoly.symbol(2, 1) + SPoly.symbol(3, 1)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            SPoly(2, {(1, -1): 1})
 
     def test_ring_axioms_random(self):
         rng = random.Random(4)
@@ -224,3 +231,96 @@ class TestRendering:
     def test_latex(self):
         s1, s2 = syms(2)
         assert "\\str_{1}" in (s1 ** 2 - s2).to_latex()
+
+
+def schoolbook(a, b):
+    """Reference product of {exponent tuple: coeff} dicts."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def factor_pairs(draw):
+    """(nsym, top, a, b): every exponent sum of a product is at most top,
+    and top = 2^w - 1 fills a w-bit slot, so sums reach the packing boundary."""
+    nsym = draw(st.integers(1, 4))
+    top = (1 << draw(st.integers(1, 4))) - 1
+    split = draw(st.integers(0, top))
+
+    def terms(hi):
+        exps = st.tuples(*[st.integers(0, hi)] * nsym)
+        return st.dictionaries(exps, st.integers(-9, 9).filter(bool), max_size=5)
+
+    return nsym, top, draw(terms(split)), draw(terms(top - split))
+
+
+BOUNDARY = (2, 3, {(1, 3): 2, (0, 0): 1}, {(2, 0): -1, (0, 0): 3})
+
+
+class TestPackedKernel:
+    @given(factor_pairs())
+    @example(BOUNDARY)
+    @example((1, 1, {}, {(1,): 1}))
+    @example((3, 7, {(0, 0, 0): 5}, {(0, 0, 0): -2}))
+    def test_spoly_mul_matches_schoolbook(self, case):
+        nsym, _, a, b = case
+        got = SPoly(nsym, a) * SPoly(nsym, b)
+        assert got == SPoly(nsym, schoolbook(a, b))
+
+    @given(factor_pairs())
+    @example(BOUNDARY)
+    def test_integer_kernel_matches_schoolbook(self, case):
+        nsym, top, a, b = case
+        packing = _Packing(nsym, top)
+
+        def packed(terms):
+            return _ZPoly({packing.pack(e): c for e, c in terms.items()})
+
+        product = packed(a) * packed(b)
+        got = {packing.unpack(k): c for k, c in product.terms.items()}
+        assert got == schoolbook(a, b)
+
+    def test_slot_width_holds_max_exponent(self):
+        for top in (1, 3, 7, 8, 15, 16):
+            packing = _Packing(3, top)
+            exps = (top, top, top)
+            assert packing.unpack(packing.pack(exps)) == exps
+            assert packing.mask == (1 << top.bit_length()) - 1
+
+    def test_boundary_product_fills_slots_without_carry(self):
+        packing = _Packing(2, 3)
+        s1, s2 = packing.symbol(1), packing.symbol(2)
+        product = (s1 * s2 * s2 * s2) * (s1 * s1)
+        assert [packing.unpack(k) for k in product.terms] == [(3, 3)]
+
+    def test_to_spoly_divides(self):
+        packing = _Packing(2, 2)
+        poly = packing.symbol(1) * packing.symbol(2) + _ZPoly({0: 4})
+        assert packing.to_spoly(poly, 6) == SPoly(2, {(1, 1): F(1, 6), (0, 0): F(2, 3)})
+
+
+def _series_cases(nsym, order, max_exp):
+    exps = st.tuples(*[st.integers(0, max_exp)] * nsym)
+    poly = st.dictionaries(exps, st.integers(-9, 9).filter(bool), max_size=4)
+    return st.lists(poly, min_size=order + 1, max_size=order + 1)
+
+
+class TestSymmetricSquare:
+    @given(st.integers(0, 5).flatmap(lambda order: _series_cases(2, order, 3)))
+    def test_spoly_series(self, coeffs):
+        series = TruncSeries(len(coeffs) - 1, [SPoly(2, c) for c in coeffs])
+        assert series.square() == series * series
+
+    @given(st.integers(0, 5).flatmap(lambda order: _series_cases(3, order, 3)))
+    def test_integer_kernel_series(self, coeffs):
+        # each coefficient has exponents <= 3; two factors sum to at most 6
+        packing = _Packing(3, 6)
+        series = TruncSeries(
+            len(coeffs) - 1,
+            [_ZPoly({packing.pack(e): c for e, c in terms.items()}) for terms in coeffs],
+        )
+        assert series.square() == series * series

@@ -152,6 +152,13 @@ class TestVerifyBatch:
         with pytest.raises(ValueError):
             verify_batch(1, 1, trials=0, seed=0)
 
+    def test_sampler_preconditions(self):
+        # the same checks random_supermatrix makes, not a clipped blade pool
+        with pytest.raises(ValueError, match="n_gen"):
+            verify_batch(1, 1, trials=1, seed=0, n_gen=0)
+        with pytest.raises(ValueError, match="exceeds"):
+            verify_batch(2, 1, trials=1, seed=0, n_gen=2, max_soul_grade=5)
+
     def test_corrupted_identity_fails(self):
         good = identity_coeffs(1, 1)
         bad = CHIdentity(1, 1, [good.coeffs[0], good.coeffs[1], good.coeffs[2] + 1])
