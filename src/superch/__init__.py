@@ -19,10 +19,8 @@ from .engine import (
     DerivationError,
     build_b_matrix,
     factorize_small,
-    flip_signs,
     identity_coeffs,
     newton_coeffs,
-    osp_common_factor,
     osp_specialize,
     solve_mu,
 )
@@ -31,24 +29,16 @@ from .grassmann import (
     NotInvertibleError,
     ParityError,
     blade_mul,
-    body,
-    even_inverse,
-    mv_add,
-    mv_mul,
-    soul,
 )
 from .matrices import (
     SuperMatrix,
     adjugate,
     det,
     even_det,
-    mat_mul,
-    mat_pow,
     omega_matrix,
     osp_random,
     osp_random_pair,
     random_supermatrix,
-    supertrace,
     supertranspose,
 )
 from .poly import (

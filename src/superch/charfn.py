@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .grassmann import Multivector, ParityError
 from .matrices import SuperMatrix, adjugate, det, mat_mul_entries
+from .poly import _power
 
 
 class UniPoly:
@@ -57,9 +58,6 @@ class UniPoly:
             return self.coeffs[k]
         return Multivector.zero(self.n_gen)
 
-    def is_even(self) -> bool:
-        return all(c.is_even() for c in self.coeffs)
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -79,17 +77,13 @@ class UniPoly:
         return UniPoly(self.n_gen, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, UniPoly):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniPoly(self.n_gen, [c * other for c in self.coeffs])
-        if isinstance(other, Multivector):
+        if isinstance(other, (int, Fraction, Multivector)):
             return UniPoly(self.n_gen, [c * other for c in self.coeffs])
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -112,12 +106,7 @@ class UniPoly:
         return NotImplemented
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = UniPoly.one(self.n_gen)
-        for _ in range(k):
-            out = out * self
-        return out
+        return _power(self, k, UniPoly.one(self.n_gen))
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
@@ -175,16 +164,11 @@ def char_poly_block(entries, n_gen: int) -> UniPoly:
         for j, e in enumerate(row):
             if not e.is_even():
                 raise ParityError(f"parity error: entry ({i},{j}) is not even")
-    x = UniPoly.x(n_gen)
-    rows = [
-        [x - UniPoly.const(entries[i][j]) if i == j else -UniPoly.const(entries[i][j])
-         for j in range(size)]
-        for i in range(size)
-    ]
-    return det(rows, one=UniPoly.one(n_gen))
+    return det(_x_minus(entries, n_gen), one=UniPoly.one(n_gen))
 
 
 def _x_minus(entries, n_gen):
+    """The grid xI - E with UniPoly entries."""
     size = len(entries)
     x = UniPoly.x(n_gen)
     return [

@@ -24,8 +24,19 @@ def _positive(value):
     return n
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("SUPERCH_DEFAULT_SEED", "0"))
+class UsageError(Exception):
+    """Bad command-line input; reported as one stderr line with exit 2."""
+
+
+def _seed(args) -> int:
+    """--seed if given, else SUPERCH_DEFAULT_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
+    value = os.environ.get("SUPERCH_DEFAULT_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError(f"SUPERCH_DEFAULT_SEED must be an integer, got {value!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,11 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, dims=True):
-        if dims:
-            sp.add_argument("p", type=_positive, help="even-block dimension")
-            sp.add_argument("q", type=_positive, help="odd-block dimension")
-        sp.add_argument("--seed", type=int, default=None, help="RNG seed")
+    def common(sp, seeded=False):
+        sp.add_argument("p", type=_positive, help="even-block dimension")
+        sp.add_argument("q", type=_positive, help="odd-block dimension")
+        if seeded:
+            sp.add_argument("--seed", type=int, default=None, help="RNG seed")
         sp.add_argument("--format", choices=("text", "json", "latex"), default="text")
         sp.add_argument("--out", type=str, default=None, help="write output to a file")
 
@@ -48,13 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
     derive.add_argument("--osp", action="store_true", help="OSp specialization")
 
     verify = sub.add_parser("verify", help="verify the identity on random samples")
-    common(verify)
+    common(verify, seeded=True)
     verify.add_argument("--trials", type=_positive, default=25)
     verify.add_argument("--generators", type=_positive, default=6)
     verify.add_argument("--soul-grade", type=_positive, default=3)
 
     charfn = sub.add_parser("charfn", help="characteristic function of a random sample")
-    common(charfn)
+    common(charfn, seeded=True)
     charfn.add_argument("--generators", type=_positive, default=6)
     charfn.add_argument("--soul-grade", type=_positive, default=3)
 
@@ -69,7 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
+        try:
+            fh = open(out_path, "w")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
+        with fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -84,7 +99,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_verify(args, identity=None) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     report = verify_batch(
         args.p,
         args.q,
@@ -102,7 +117,7 @@ def cmd_verify(args, identity=None) -> int:
 
 
 def cmd_charfn(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     m = random_supermatrix(args.p, args.q, args.generators, seed, args.soul_grade)
     rd = h_via_d(m)
     ra = h_via_a(m)
@@ -150,19 +165,22 @@ def cmd_newton(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("verify", "charfn"):
-        try:
-            check_sampler_args(args.generators, args.soul_grade)
-        except ValueError as exc:
-            print(f"superch {args.command}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     handlers = {
         "derive": cmd_derive,
         "verify": cmd_verify,
         "charfn": cmd_charfn,
         "newton": cmd_newton,
     }
-    return handlers[args.command](args)
+    try:
+        if args.command in ("verify", "charfn"):
+            try:
+                check_sampler_args(args.generators, args.soul_grade)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
+        return handlers[args.command](args)
+    except UsageError as exc:
+        print(f"superch {args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -224,11 +224,6 @@ def identity_coeffs(p: int, q: int) -> CHIdentity:
     return CHIdentity(p, q, coeffs)
 
 
-def flip_signs(obj):
-    """Sign-flip dual: substitute Sj -> -Sj (SPoly or CHIdentity)."""
-    return obj.flip_signs()
-
-
 def _to_sympy(poly: SPoly, syms):
     import sympy
 
@@ -253,8 +248,14 @@ def _from_sympy(expr, nsym, syms) -> SPoly:
     return SPoly(nsym, terms)
 
 
-def _osp_parts(ident: CHIdentity):
-    """Coefficients with S1, S3, ... set to zero, and their polynomial GCD."""
+def osp_specialize(ident: CHIdentity) -> CHIdentity:
+    """Specialize to OSp: kill odd-index supertraces, strip common factor.
+
+    All odd powers of an OSp matrix have vanishing supertrace, so S1, S3,
+    ... are set to zero; the surviving coefficients then share a polynomial
+    factor which is divided out, and the result is rescaled so the leading
+    (graded-lex) monomial of the top coefficient has coefficient +1.
+    """
     import sympy
 
     specialized = [c.zero_odd_symbols() for c in ident.coeffs]
@@ -266,29 +267,13 @@ def _osp_parts(ident: CHIdentity):
     gcd_expr = sympy.Integer(0)
     for c in nonzero:
         gcd_expr = sympy.gcd(gcd_expr, _to_sympy(c, syms))
-    return specialized, _from_sympy(sympy.expand(gcd_expr), nsym, syms)
-
-
-def osp_specialize(ident: CHIdentity) -> CHIdentity:
-    """Specialize to OSp: kill odd-index supertraces, strip common factor.
-
-    All odd powers of an OSp matrix have vanishing supertrace, so S1, S3,
-    ... are set to zero; the surviving coefficients then share a polynomial
-    factor which is divided out, and the result is rescaled so the leading
-    (graded-lex) monomial of the top coefficient has coefficient +1.
-    """
-    specialized, common = _osp_parts(ident)
+    common = _from_sympy(sympy.expand(gcd_expr), nsym, syms)
     reduced = [c.divide_exact(common) if c else c for c in specialized]
     if not reduced[0]:
         raise DerivationError("leading OSp coefficient vanished")
     _, lead_coeff = reduced[0].lead()
     inv = 1 / lead_coeff
     return CHIdentity(ident.p, ident.q, [c * inv for c in reduced])
-
-
-def osp_common_factor(ident: CHIdentity) -> SPoly:
-    """The common factor removed by osp_specialize (for reporting)."""
-    return _osp_parts(ident)[1]
 
 
 def factorize_small(ident: CHIdentity):

@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .poly import _add_terms, _as_fraction, _power, _render_terms
+
 
 class ParityError(ValueError):
     """An operation required homogeneous (usually even) parity."""
@@ -66,14 +68,6 @@ def blade_mul(b1, b2):
     if m1 & m2:
         return 0, ()
     return _merge_sign(m1, m2), indices_from_mask(m1 | m2)
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected rational coefficient, got {type(value).__name__}")
 
 
 class Multivector:
@@ -137,16 +131,9 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_same(other)
-        terms = dict(self.terms)
-        for mask, coeff in other.terms.items():
-            acc = terms.get(mask, Fraction(0)) + coeff
-            if acc:
-                terms[mask] = acc
-            else:
-                terms.pop(mask, None)
         out = Multivector.__new__(Multivector)
         out.n_gen = self.n_gen
-        out.terms = terms
+        out.terms = _add_terms(self.terms, other.terms)
         return out
 
     __radd__ = __add__
@@ -204,16 +191,7 @@ class Multivector:
         return NotImplemented
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers: use even_inverse")
-        out = Multivector.one(self.n_gen)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, Multivector.one(self.n_gen))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -281,13 +259,15 @@ class Multivector:
 
     # -- serialization / rendering -----------------------------------------
 
+    def _sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
+
     def to_json(self):
-        items = sorted(self.terms.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
         return {
             "N": self.n_gen,
             "terms": [
                 {"blade": list(indices_from_mask(m)), "coeff": str(c)}
-                for m, c in items
+                for m, c in self._sorted_terms()
             ],
         }
 
@@ -300,46 +280,11 @@ class Multivector:
         return cls.from_blades(n_gen, blades)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mask, coeff in sorted(self.terms.items(), key=lambda kv: (kv[0].bit_count(), kv[0])):
-            blade = "*".join(f"e{i}" for i in indices_from_mask(mask))
-            if mask == 0:
-                text = str(coeff)
-            elif coeff == 1:
-                text = blade
-            elif coeff == -1:
-                text = f"-{blade}"
-            else:
-                text = f"{coeff}*{blade}"
-            if parts and not text.startswith("-"):
-                parts.append("+ " + text)
-            elif parts:
-                parts.append("- " + text[1:])
-            else:
-                parts.append(text)
-        return " ".join(parts)
+        return _render_terms(
+            (coeff, "*".join(f"e{i}" for i in indices_from_mask(mask)))
+            for mask, coeff in self._sorted_terms()
+        )
 
     def __repr__(self):
         return f"Multivector({self.n_gen}, {self!s})"
 
-
-def mv_add(a: Multivector, b: Multivector) -> Multivector:
-    return a + b
-
-
-def mv_mul(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
-
-
-def body(a: Multivector) -> Fraction:
-    return a.body()
-
-
-def soul(a: Multivector) -> Multivector:
-    return a.soul()
-
-
-def even_inverse(a: Multivector) -> Multivector:
-    return a.even_inverse()

@@ -3,8 +3,9 @@
 A (p,q) supermatrix has even entries in the diagonal A (p x p) and D (q x q)
 blocks and odd entries in the off-diagonal B, C blocks.  Determinants and
 adjugates are only taken over square matrices with pairwise commuting
-entries (even Multivectors, or univariate polynomials over them); they are
-computed division-free because the even subring contains nilpotents.
+entries (even Multivectors, univariate polynomials over them, polynomials
+in the supertraces, or rationals); they are computed division-free because
+the even subring contains nilpotents.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ import random
 from fractions import Fraction
 
 from .grassmann import Multivector, ParityError
+from .poly import _power
+
+# Seeded attempts per sample before giving up on a nondegenerate one
+SAMPLE_ATTEMPTS = 100
 
 
 def det(rows, one=None):
@@ -193,16 +198,7 @@ class SuperMatrix:
         )
 
     def pow(self, k: int) -> "SuperMatrix":
-        if k < 0:
-            raise ValueError("negative matrix power")
-        out = SuperMatrix.identity(self.p, self.q, self.n_gen)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return _power(self, k, SuperMatrix.identity(self.p, self.q, self.n_gen))
 
     def power_table(self, k: int):
         """[I, M, M^2, ..., M^k] computed with k products."""
@@ -250,37 +246,18 @@ class SuperMatrix:
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
 
 
-def supertrace(m: SuperMatrix) -> Multivector:
-    return m.supertrace()
-
-
-def mat_mul(m1: SuperMatrix, m2: SuperMatrix) -> SuperMatrix:
-    return m1 * m2
-
-
-def mat_pow(m: SuperMatrix, k: int) -> SuperMatrix:
-    return m.pow(k)
-
-
-def _even_blades(n_gen: int, max_grade: int):
-    masks = []
-    for m in range(1, 1 << n_gen):
-        g = m.bit_count()
-        if g and g % 2 == 0 and g <= max_grade:
-            masks.append(m)
-    return masks
-
-
-def _odd_blades(n_gen: int, max_grade: int):
+def _blade_pool(n_gen: int, max_grade: int, parity: int):
+    """Masks of the non-scalar blades with grade parity ``parity`` and
+    grade <= max_grade, in increasing mask order."""
     return [
         m for m in range(1, 1 << n_gen)
-        if m.bit_count() % 2 == 1 and m.bit_count() <= max_grade
+        if m.bit_count() % 2 == parity and m.bit_count() <= max_grade
     ]
 
 
 def _random_even(rng, n_gen, max_soul_grade, soul_terms=2):
     terms = {0: Fraction(rng.randint(-9, 9))}
-    pool = _even_blades(n_gen, max_soul_grade)
+    pool = _blade_pool(n_gen, max_soul_grade, 0)
     for mask in rng.sample(pool, min(soul_terms, len(pool))) if pool else []:
         c = rng.randint(-3, 3)
         if c:
@@ -289,7 +266,7 @@ def _random_even(rng, n_gen, max_soul_grade, soul_terms=2):
 
 
 def _random_odd(rng, n_gen, max_soul_grade, n_terms=2):
-    pool = _odd_blades(n_gen, max_soul_grade)
+    pool = _blade_pool(n_gen, max_soul_grade, 1)
     terms = {}
     for mask in rng.sample(pool, min(n_terms, len(pool))) if pool else []:
         c = rng.randint(-3, 3)
@@ -325,16 +302,29 @@ def random_supermatrix_raw(p, q, n_gen, seed, max_soul_grade=3) -> SuperMatrix:
     return SuperMatrix(p, q, n_gen, entries, validate=False)
 
 
-def random_supermatrix(p, q, n_gen, seed, max_soul_grade=3, max_retries=100) -> SuperMatrix:
-    """Seeded random supermatrix with A/D body spectra guaranteed disjoint."""
+def nondegenerate_sample(p, q, n_gen, seed, max_soul_grade=3):
+    """(sample, resamples) for the first nondegenerate of SAMPLE_ATTEMPTS
+    seeded attempts, or (None, SAMPLE_ATTEMPTS) if every one is degenerate.
+
+    Attempt a uses the raw seed seed * 1000003 + a, so the samples of
+    nearby seeds do not overlap.
+    """
     from .verifier import check_degenerate
 
-    check_sampler_args(n_gen, max_soul_grade)
-    for attempt in range(max_retries):
+    for attempt in range(SAMPLE_ATTEMPTS):
         m = random_supermatrix_raw(p, q, n_gen, seed * 1000003 + attempt, max_soul_grade)
         if not check_degenerate(m):
-            return m
-    raise RuntimeError("could not generate nondegenerate sample")
+            return m, attempt
+    return None, SAMPLE_ATTEMPTS
+
+
+def random_supermatrix(p, q, n_gen, seed, max_soul_grade=3) -> SuperMatrix:
+    """Seeded random supermatrix with A/D body spectra guaranteed disjoint."""
+    check_sampler_args(n_gen, max_soul_grade)
+    m, _ = nondegenerate_sample(p, q, n_gen, seed, max_soul_grade)
+    if m is None:
+        raise RuntimeError("could not generate nondegenerate sample")
+    return m
 
 
 def transpose(entries):

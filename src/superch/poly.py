@@ -3,7 +3,10 @@
 The symbol Sj carries weight j, so the weighted degree of a monomial
 S1^e1 * ... * Sn^en is sum(j * ej).  Coefficients are exact rationals.
 Also provides rational pairs and order-truncated power series in a formal
-variable t, which is all the generating-function machinery needs.
+variable t, which is all the generating-function machinery needs, and the
+rules the other algebras of the package share: coefficient coercion
+(``_as_fraction``), sparse addition (``_add_terms``), powering (``_power``)
+and plain-text rendering of a sum of terms (``_render_terms``).
 
 Every sparse product runs in one kernel, ``_mul_terms``, on packed monomial
 keys (Kronecker substitution).  With a slot width of w bits the monomial
@@ -60,7 +63,7 @@ def _mul_terms(a: dict, b: dict) -> dict:
 
 
 def _add_terms(a: dict, b: dict) -> dict:
-    """Sparse sum of two {monomial key: coeff} dicts."""
+    """Sparse sum of two {key: coeff} dicts (monomials or blades)."""
     out = dict(a)
     for k, c in b.items():
         prev = out.get(k)
@@ -73,6 +76,49 @@ def _add_terms(a: dict, b: dict) -> dict:
             else:
                 del out[k]
     return out
+
+
+def _power(base, k: int, one):
+    """base**k by repeated squaring; ``one`` is the unit of base's ring.
+
+    Only associativity is used, so this serves every ring here, the
+    noncommutative ones included.
+    """
+    if k < 0:
+        raise ValueError("negative power")
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
+def _render_terms(terms):
+    """Plain-text sum of (coeff, monomial text) pairs, "" for the unit.
+
+    Unit coefficients are dropped from the monomial and a negative term is
+    joined with "- " instead of "+ "; the empty sum is "0".
+    """
+    parts = []
+    for coeff, mono in terms:
+        if not mono:
+            text = str(coeff)
+        elif coeff == 1:
+            text = mono
+        elif coeff == -1:
+            text = f"-{mono}"
+        else:
+            text = f"{coeff}*{mono}"
+        if parts and not text.startswith("-"):
+            parts.append("+ " + text)
+        elif parts:
+            parts.append("- " + text[1:])
+        else:
+            parts.append(text)
+    return " ".join(parts) if parts else "0"
 
 
 class _Packing:
@@ -248,16 +294,7 @@ class SPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = SPoly.one(self.nsym)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, SPoly.one(self.nsym))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -365,18 +402,6 @@ class SPoly:
             if budget < 0:
                 raise NotPerfectSquareError("not a perfect square")
 
-    def monomial_content(self):
-        """Componentwise minimum exponent vector over all terms."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no content")
-        it = iter(self.terms)
-        acc = list(next(it))
-        for exps in it:
-            for j, e in enumerate(exps):
-                if e < acc[j]:
-                    acc[j] = e
-        return tuple(acc)
-
     def evaluate(self, values, one):
         """Evaluate with values[j-1] substituted for Sj.
 
@@ -406,32 +431,13 @@ class SPoly:
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, coeff in self._sorted_terms():
-            factors = []
-            for j, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"S{j + 1}")
-                elif e > 1:
-                    factors.append(f"S{j + 1}^{e}")
-            mono = "*".join(factors)
-            if not mono:
-                text = str(coeff)
-            elif coeff == 1:
-                text = mono
-            elif coeff == -1:
-                text = f"-{mono}"
-            else:
-                text = f"{coeff}*{mono}"
-            if parts and not text.startswith("-"):
-                parts.append("+ " + text)
-            elif parts:
-                parts.append("- " + text[1:])
-            else:
-                parts.append(text)
-        return " ".join(parts)
+        return _render_terms(
+            (coeff, "*".join(
+                f"S{j + 1}" if e == 1 else f"S{j + 1}^{e}"
+                for j, e in enumerate(exps) if e
+            ))
+            for exps, coeff in self._sorted_terms()
+        )
 
     def __repr__(self):
         return f"SPoly({self.nsym}, {self!s})"
@@ -552,9 +558,6 @@ class TruncSeries:
                 term = diagonal if term is None else term + diagonal
             out.append(term)
         return TruncSeries(self.order, out)
-
-    def scale(self, value) -> "TruncSeries":
-        return TruncSeries(self.order, [c * value for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .charfn import char_poly_block
 from .engine import CHIdentity, identity_coeffs
 from .grassmann import Multivector
-from .matrices import SuperMatrix, check_sampler_args, random_supermatrix_raw
+from .matrices import SuperMatrix, check_sampler_args, det, nondegenerate_sample
 
 
 def _body_char_poly(block, n_gen):
@@ -51,32 +51,7 @@ def resultant(f, g) -> Fraction:
         rows.append([Fraction(0)] * i + frev + [Fraction(0)] * (size - i - m - 1))
     for i in range(m):
         rows.append([Fraction(0)] * i + grev + [Fraction(0)] * (size - i - n - 1))
-    return _fraction_det(rows)
-
-
-def _fraction_det(rows) -> Fraction:
-    """Exact determinant over Q by Gaussian elimination."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    detval = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            detval = -detval
-        pv = a[col][col]
-        detval *= pv
-        for r in range(col + 1, n):
-            if a[r][col]:
-                factor = a[r][col] / pv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return detval
+    return Fraction(det(rows))
 
 
 def check_degenerate(m: SuperMatrix) -> bool:
@@ -91,6 +66,8 @@ def evaluate_identity(m: SuperMatrix, ident: CHIdentity) -> SuperMatrix:
     if (m.p, m.q) != (ident.p, ident.q):
         raise ValueError("identity was derived for different block dimensions")
     n = ident.n
+    if len(ident.coeffs) != n + 1:
+        raise ValueError(f"identity needs {n + 1} coefficients, got {len(ident.coeffs)}")
     powers = m.power_table(n)
     strs = [powers[j].supertrace() for j in range(1, n + 1)]
     one = Multivector.one(m.n_gen)
@@ -210,7 +187,6 @@ def verify_batch(
     n_gen: int = 6,
     max_soul_grade: int = 3,
     identity: CHIdentity | None = None,
-    max_retries: int = 100,
 ) -> VerificationReport:
     """Derive the (p,q) identity once, then test seeded random samples."""
     if trials < 1:
@@ -221,19 +197,12 @@ def verify_batch(
         identity = identity_coeffs(p, q)
     report = VerificationReport(p=p, q=q, seed=seed, trials=trials)
     for t in range(trials):
-        sample = None
-        for attempt in range(max_retries):
-            cand = random_supermatrix_raw(
-                p, q, n_gen, (seed + t) * 1000003 + attempt, max_soul_grade
-            )
-            if not check_degenerate(cand):
-                sample = cand
-                report.resamples += attempt
-                break
+        sample, resamples = nondegenerate_sample(p, q, n_gen, seed + t, max_soul_grade)
         if sample is None:
             report.skips += 1
             report.outcomes.append(TrialOutcome(t, "skip"))
             continue
+        report.resamples += resamples
         residual = evaluate_identity(sample, identity)
         if residual.is_zero():
             report.passes += 1

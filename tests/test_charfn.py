@@ -136,3 +136,21 @@ class TestFullCharPoly:
             pc = full_char_poly(m)
             assert pc.degree() == 2 * p * q + p + q
             assert pc.coeffs[-1] == Multivector.one(4)
+
+
+class TestUniPolyPower:
+    def test_zero_power_is_one(self):
+        assert (UniPoly.x(4) - scal(3)) ** 0 == UniPoly.one(4)
+        assert UniPoly.zero(4) ** 0 == UniPoly.one(4)
+
+    def test_matches_repeated_product(self):
+        x = UniPoly.x(4)
+        for a in (x - scal(2) - blade([1, 2]), x * x + blade([2, 3], 3) * x + scal(F(1, 2))):
+            product = UniPoly.one(4)
+            for k in range(7):
+                assert a ** k == product
+                product = product * a
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            UniPoly.x(4) ** -1

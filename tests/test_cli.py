@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -46,6 +47,21 @@ class TestDerive:
             main(["derive", "0", "1"])
         assert exc.value.code == 2
 
+    def test_seed_is_usage_error(self, capsys):
+        # derive draws no random numbers, so it takes no seed
+        with pytest.raises(SystemExit) as exc:
+            main(["derive", "1", "1", "--seed", "3"])
+        assert exc.value.code == 2
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "ident.txt"
+        code = main(["derive", "1", "1", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert str(path) in captured.err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "ident.json"
         code, _ = run(capsys, "derive", "1", "1", "--format", "json", "--out", str(path))
@@ -82,11 +98,32 @@ class TestVerify:
         assert "seed=123" in out
 
 
+    @pytest.mark.parametrize("command", ["verify", "charfn"])
+    def test_non_integer_env_seed_is_usage_error(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("SUPERCH_DEFAULT_SEED", "seven")
+        code = main([command, "1", "1", "--trials", "2"] if command == "verify" else [command, "1", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "SUPERCH_DEFAULT_SEED" in captured.err
+
     def test_soul_grade_above_generators_is_usage_error(self, capsys):
         assert_usage_error(capsys, "verify", "2", "1", "--generators", "2", "--soul-grade", "5")
 
 
 class TestCharfn:
+    # sha256 of the whole text output, recorded before the shared renderer
+    # replaced the Multivector and UniPoly copies
+    @pytest.mark.parametrize("seed, digest", [
+        ("3", "9b44006d5c04fcce223c060c5ce94b8b57beca07fc8a1b74c81178a730673545"),
+        ("11", "06ab03a6b553423b008342b7832cf7307c7c160badac4e1c66db0a85080fefc9"),
+    ])
+    def test_text_pinned(self, capsys, seed, digest):
+        code, out = run(capsys, "charfn", "2", "1", "--seed", seed)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_soul_grade_above_generators_is_usage_error(self, capsys):
         assert_usage_error(capsys, "charfn", "2", "1", "--generators", "2", "--soul-grade", "5")
 

@@ -315,3 +315,31 @@ class TestPinnedBytes:
             for j in range(q):
                 nu = nu + adj[i][j] * b[p + j + 1]
             assert mu == SRational(nu, det_b)
+
+
+# sha256 of to_text() and to_latex(), recorded before the shared renderer
+# replaced the per-class copies; any change to a rendered byte fails.
+RENDER_DIGESTS = {
+    (1, 1): ("d854810818a18a934e6f64be24d852a7b35b75f841ff0972b523132b81bddcd1", "bc4205d883eed6e377ff9d841a7074001d88edb4d006465751857ff02794b122"),
+    (1, 2): ("044303b75cff77a7b914b0d50c37afa4153e6cd1aebe21d62620d3a15e116c86", "1629795d91c4e3e730b4d3828528b0106b4bc3806c7e6fcda204766bf61e4e3a"),
+    (1, 3): ("8635671e6f764ce3252dea451cb43d011434b62fff3f3cd313b61f38bc88d7b3", "27843367730e7a5762eed28fb33234da1ec023ae96d6fa908d163f0b8d02fcc2"),
+    (1, 4): ("ade079ac5a7a7bcb205598e1bd8aba60c81d0f13b19a03a7072d54eb45e2dd46", "0af923b18b81527257bf7e6b05cc3ab7c6778c398e2e413439ec249348339ce9"),
+    (2, 1): ("25b0c23d286b0de268e44c3577d5e137f6f3d6c498c9af62cf3c4c30e63279ee", "a182ac500b0c859161eb7df6884e0df70d26287401a835b663680496acfa3235"),
+    (2, 2): ("1fe46bef0015ec9775056f4c68872631e0d3a05c2f7b0e6cec2906f9ccc4ac98", "639bc60e598c4fbf0ef099a4e836970b0e0af849249ca4c042d91501b9fac865"),
+    (2, 3): ("0bcf0f02dea1d39150bd65bc3c89209ee15f95bf929cba43cc2bc6c2c1133846", "8872e2a20a2e228470fed1c30f26d11c5b21746de2ed6a2b9bbf51615b7ab915"),
+    (3, 1): ("d17abf89375d3eee3acbd10713d0d4f464e6f49b4aedead62fa758d92b3db680", "de3cef82e762b8b6cb6d8f7c5f3374d993209f2c20af6b18cbee9b1337b9cf51"),
+    (3, 2): ("72a32e3cbae14dcb2dfd0e95806c1b1b7fc1862dd0a0bb05205c1991be2570e6", "67196f5dad90ac3beabc6f7bd69ff81f58571b44353c36c9d2b3a671b8d2c864"),
+    (4, 1): ("ab2da48c65bccff281934986f48910bf45e6957dce573864f135140ada98374a", "384bfa6348404450feb63dc40317d461bb5e99130fb89d44fe3cc1be77660a60"),
+}
+
+
+class TestPinnedRendering:
+    @pytest.mark.parametrize("pq", sorted(RENDER_DIGESTS))
+    def test_text(self, pq):
+        text = identity_coeffs(*pq).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == RENDER_DIGESTS[pq][0]
+
+    @pytest.mark.parametrize("pq", sorted(RENDER_DIGESTS))
+    def test_latex(self, pq):
+        latex = identity_coeffs(*pq).to_latex()
+        assert hashlib.sha256(latex.encode()).hexdigest() == RENDER_DIGESTS[pq][1]

@@ -165,3 +165,22 @@ class TestSerialization:
         a = mv(((1, 2), F(1, 3)))
         data = a.to_json()
         assert data == {"N": 4, "terms": [{"blade": [1, 2], "coeff": "1/3"}]}
+
+
+class TestPower:
+    def test_zero_power_is_one(self):
+        assert mv(((1, 2), 3), ((), 2)) ** 0 == Multivector.one(4)
+        assert Multivector.zero(4) ** 0 == Multivector.one(4)
+
+    def test_matches_repeated_product(self):
+        rng = random.Random(32)
+        for _ in range(10):
+            a = random_mv(rng)
+            product = Multivector.one(4)
+            for k in range(7):
+                assert a ** k == product
+                product = product * a
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            Multivector.scalar(4, 2) ** -1

@@ -221,3 +221,21 @@ class TestSerialization:
         data["entries"][0][0] = blade([1]).to_json()
         with pytest.raises(ParityError, match=r"\(0,0\)"):
             SuperMatrix.from_json(data)
+
+
+class TestMatrixPower:
+    def test_zero_power_is_identity(self):
+        m = random_supermatrix(2, 1, 4, seed=5)
+        assert m.pow(0) == SuperMatrix.identity(2, 1, 4)
+
+    def test_matches_repeated_product(self):
+        for p, q, seed in ((1, 1, 2), (2, 1, 3), (1, 2, 4)):
+            m = random_supermatrix(p, q, 4, seed=seed)
+            product = SuperMatrix.identity(p, q, 4)
+            for k in range(7):
+                assert m.pow(k) == product
+                product = product * m
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            diag_11(2, 3).pow(-1)

@@ -324,3 +324,23 @@ class TestSymmetricSquare:
             [_ZPoly({packing.pack(e): c for e, c in terms.items()}) for terms in coeffs],
         )
         assert series.square() == series * series
+
+
+class TestPower:
+    def test_zero_power_is_one(self):
+        s1, s2, _ = syms()
+        assert (s1 - 2 * s2) ** 0 == SPoly.one(3)
+        assert SPoly.zero(3) ** 0 == SPoly.one(3)
+
+    def test_matches_repeated_product(self):
+        rng = random.Random(31)
+        for _ in range(10):
+            a = random_spoly(rng, max_exp=2)
+            product = SPoly.one(3)
+            for k in range(7):
+                assert a ** k == product
+                product = product * a
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            syms()[0] ** -1

@@ -59,6 +59,15 @@ class TestEvaluateIdentity:
         with pytest.raises(ValueError):
             evaluate_identity(diag_11(1, 2), identity_coeffs(2, 1))
 
+    def test_coefficient_count_must_be_n_plus_one(self):
+        # (2,1) needs four coefficients; an extra one would multiply M^3 again
+        m = random_supermatrix(2, 1, 6, seed=0)
+        good = identity_coeffs(2, 1)
+        one = SPoly.one(good.nsym)
+        for coeffs in (good.coeffs + [SPoly.zero(good.nsym)], good.coeffs + [one], good.coeffs[:-1]):
+            with pytest.raises(ValueError, match="coefficients"):
+                evaluate_identity(m, CHIdentity(2, 1, coeffs))
+
 
 class TestCheckDegenerate:
     def test_distinct(self):
@@ -199,3 +208,26 @@ class TestVerifyFactorization:
         ident = identity_coeffs(2, 1)
         with pytest.raises(ValueError):
             verify_factorization(ident, [SPoly.one(3)], [SPoly.one(3)])
+
+
+class TestResultantAgainstRoots:
+    @staticmethod
+    def monic(roots):
+        """Ascending coefficients of prod (x - r)."""
+        coeffs = [F(1)]
+        for r in roots:
+            shifted = [F(0)] + coeffs
+            coeffs = [s - r * c for s, c in zip(shifted, coeffs + [F(0)])]
+        return coeffs
+
+    @pytest.mark.parametrize("total", range(2, 9))
+    def test_product_of_root_differences(self, total):
+        rng = random.Random(total)
+        for m in range(1, total):
+            rs = [rng.randint(-4, 4) for _ in range(m)]
+            ss = [rng.randint(-4, 4) for _ in range(total - m)]
+            expected = F(1)
+            for r in rs:
+                for s in ss:
+                    expected *= r - s
+            assert resultant(self.monic(rs), self.monic(ss)) == expected
