@@ -33,6 +33,7 @@ from .grassmann import (
 from .matrices import (
     SuperMatrix,
     adjugate,
+    check_degenerate,
     det,
     even_det,
     omega_matrix,
@@ -50,10 +51,8 @@ from .poly import (
 )
 from .verifier import (
     VerificationReport,
-    check_degenerate,
     evaluate_identity,
     oracle_det_permutation,
-    resultant,
     verify_batch,
     verify_factorization,
 )

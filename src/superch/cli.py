@@ -51,7 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("q", type=_positive, help="odd-block dimension")
         if seeded:
             sp.add_argument("--seed", type=int, default=None, help="RNG seed")
-        sp.add_argument("--format", choices=("text", "json", "latex"), default="text")
+        # a sampled report has no LaTeX rendering
+        formats = ("text", "json") if seeded else ("text", "json", "latex")
+        sp.add_argument("--format", choices=formats, default="text")
         sp.add_argument("--out", type=str, default=None, help="write output to a file")
 
     derive = sub.add_parser("derive", help="derive the (p,q) identity")
@@ -150,8 +152,7 @@ def cmd_charfn(args) -> int:
 
 def cmd_newton(args) -> int:
     if args.k < 0:
-        print("k must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("k must be >= 0")
     coeffs = newton_coeffs(args.n, args.k)
     if args.format == "json":
         _emit(json.dumps([c.to_json() for c in coeffs], indent=2), args.out)

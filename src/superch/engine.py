@@ -172,9 +172,11 @@ class CHIdentity:
 
     @classmethod
     def from_json(cls, data) -> "CHIdentity":
-        p, q = int(data["p"]), int(data["q"])
-        nsym = p + q
-        return cls(p, q, [SPoly.from_json(nsym, c) for c in data["coeffs"]])
+        try:
+            p, q, coeffs = int(data["p"]), int(data["q"]), data["coeffs"]
+        except KeyError as exc:
+            raise ValueError(f"identity JSON has no {exc.args[0]!r} key") from None
+        return cls(p, q, [SPoly.from_json(p + q, c) for c in coeffs])
 
     def render(self, fmt: str) -> str:
         if fmt == "text":

@@ -11,10 +11,9 @@ the even subring contains nilpotents.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .grassmann import Multivector, ParityError
-from .poly import _power
+from .poly import SPoly, _power
 
 # Seeded attempts per sample before giving up on a nondegenerate one
 SAMPLE_ATTEMPTS = 100
@@ -238,8 +237,11 @@ class SuperMatrix:
 
     @classmethod
     def from_json(cls, data) -> "SuperMatrix":
-        p, q, n_gen = int(data["p"]), int(data["q"]), int(data["N"])
-        entries = [[Multivector.from_json(e) for e in row] for row in data["entries"]]
+        try:
+            p, q, n_gen, rows = int(data["p"]), int(data["q"]), int(data["N"]), data["entries"]
+        except KeyError as exc:
+            raise ValueError(f"supermatrix JSON has no {exc.args[0]!r} key") from None
+        entries = [[Multivector.from_json(e) for e in row] for row in rows]
         return cls(p, q, n_gen, entries)
 
     def __str__(self):
@@ -255,23 +257,14 @@ def _blade_pool(n_gen: int, max_grade: int, parity: int):
     ]
 
 
-def _random_even(rng, n_gen, max_soul_grade, soul_terms=2):
-    terms = {0: Fraction(rng.randint(-9, 9))}
-    pool = _blade_pool(n_gen, max_soul_grade, 0)
-    for mask in rng.sample(pool, min(soul_terms, len(pool))) if pool else []:
-        c = rng.randint(-3, 3)
-        if c:
-            terms[mask] = Fraction(c)
-    return Multivector(n_gen, terms)
-
-
-def _random_odd(rng, n_gen, max_soul_grade, n_terms=2):
-    pool = _blade_pool(n_gen, max_soul_grade, 1)
-    terms = {}
-    for mask in rng.sample(pool, min(n_terms, len(pool))) if pool else []:
-        c = rng.randint(-3, 3)
-        if c:
-            terms[mask] = Fraction(c)
+def _random_entry(rng, n_gen, max_grade, parity):
+    """Random entry of grade parity ``parity``: an even one first draws a
+    body in [-9, 9], then each takes up to two distinct blades of its pool
+    with coefficients in [-3, 3]."""
+    terms = {} if parity else {0: rng.randint(-9, 9)}
+    pool = _blade_pool(n_gen, max_grade, parity)
+    for mask in rng.sample(pool, min(2, len(pool))):
+        terms[mask] = rng.randint(-3, 3)
     return Multivector(n_gen, terms)
 
 
@@ -290,16 +283,37 @@ def random_supermatrix_raw(p, q, n_gen, seed, max_soul_grade=3) -> SuperMatrix:
     """One seeded random sample; may be degenerate (no resampling)."""
     rng = random.Random(seed)
     n = p + q
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if (i < p) == (j < p):
-                row.append(_random_even(rng, n_gen, max_soul_grade))
-            else:
-                row.append(_random_odd(rng, n_gen, max_soul_grade))
-        entries.append(row)
+    entries = [
+        [_random_entry(rng, n_gen, max_soul_grade, int((i < p) != (j < p))) for j in range(n)]
+        for i in range(n)
+    ]
     return SuperMatrix(p, q, n_gen, entries, validate=False)
+
+
+def check_degenerate(m: SuperMatrix) -> bool:
+    """True iff the body spectra of the A and D blocks share a root.
+
+    Decided on the rational body blocks A0 and D0.  With
+    chi_A(x) = det(xI - A0), the matrix chi_A(D0) has eigenvalues
+    prod_i (delta_k - lambda_i), so its determinant is +- the resultant of
+    the two body characteristic polynomials, and it is zero exactly when
+    the spectra meet.  An empty block needs no special case: the
+    determinant of a 0 x 0 matrix is the unit.
+    """
+    a0 = [[e.body() for e in row] for row in m.block_a()]
+    d0 = [[e.body() for e in row] for row in m.block_d()]
+    x_minus_a0 = [
+        [SPoly(1, {(0,): -a, (1,): int(i == j)}) for j, a in enumerate(row)]
+        for i, row in enumerate(a0)
+    ]
+    chi = det(x_minus_a0, one=SPoly.one(1))
+    # Horner's rule from the monic top coefficient down
+    value = [[int(i == k) for k in range(len(d0))] for i in range(len(d0))]
+    for power in range(len(a0) - 1, -1, -1):
+        value = mat_mul_entries(value, d0)
+        for i, row in enumerate(value):
+            row[i] += chi.terms.get((power,), 0)
+    return det(value, one=1) == 0
 
 
 def nondegenerate_sample(p, q, n_gen, seed, max_soul_grade=3):
@@ -309,8 +323,6 @@ def nondegenerate_sample(p, q, n_gen, seed, max_soul_grade=3):
     Attempt a uses the raw seed seed * 1000003 + a, so the samples of
     nearby seeds do not overlap.
     """
-    from .verifier import check_degenerate
-
     for attempt in range(SAMPLE_ATTEMPTS):
         m = random_supermatrix_raw(p, q, n_gen, seed * 1000003 + attempt, max_soul_grade)
         if not check_degenerate(m):
@@ -345,17 +357,17 @@ def osp_random_pair(p, q, n_gen, seed, max_soul_grade=3):
     a = [[zero] * p for _ in range(p)]
     for i in range(p):
         for j in range(i + 1, p):
-            v = _random_even(rng, n_gen, max_soul_grade)
+            v = _random_entry(rng, n_gen, max_soul_grade, 0)
             a[i][j] = v
             a[j][i] = -v
     d = [[zero] * q for _ in range(q)]
     for i in range(q):
-        d[i][i] = _random_even(rng, n_gen, max_soul_grade)
+        d[i][i] = _random_entry(rng, n_gen, max_soul_grade, 0)
         for j in range(i + 1, q):
-            v = _random_even(rng, n_gen, max_soul_grade)
+            v = _random_entry(rng, n_gen, max_soul_grade, 0)
             d[i][j] = v
             d[j][i] = v
-    c = [[_random_odd(rng, n_gen, max_soul_grade) for _ in range(p)] for _ in range(q)]
+    c = [[_random_entry(rng, n_gen, max_soul_grade, 1) for _ in range(p)] for _ in range(q)]
     b = transpose(c)
 
     z_entries = [ra + rb for ra, rb in zip(a, b)] + [rc + rd for rc, rd in zip(c, d)]

@@ -407,23 +407,37 @@ class SPoly:
 
         ``values`` are elements of any commutative ring accepting * between
         themselves and * by Fraction; ``one`` is that ring's unit.
+
+        The terms are nested in Horner form with Sn outermost: terms that
+        agree in their exponents of Sj..Sn share one product by their power
+        of Sj.  The innermost symbol only multiplies single scaled terms,
+        so S1, whose exponents vary most, goes there.
         """
         if len(values) != self.nsym:
             raise ValueError("wrong number of values")
         powers = [[one] for _ in range(self.nsym)]
-        total = None
-        for exps, coeff in self.terms.items():
-            acc = None
-            for j, e in enumerate(exps):
-                if not e:
-                    continue
-                cache = powers[j]
-                while len(cache) <= e:
-                    cache.append(cache[-1] * values[j])
-                acc = cache[e] if acc is None else acc * cache[e]
-            term = (one if acc is None else acc) * coeff
-            total = term if total is None else total + term
-        return one * 0 if total is None else total
+
+        def nested(terms, j):
+            # the terms agree in the exponents of S(j+2)..Sn
+            if j < 0:
+                return one * terms[0][1]  # no two terms share all exponents
+            groups = {}
+            for exps, coeff in terms:
+                groups.setdefault(exps[j], []).append((exps, coeff))
+            total = None
+            for e, group in groups.items():
+                value = nested(group, j - 1)
+                if e:
+                    cache = powers[j]
+                    while len(cache) <= e:
+                        cache.append(cache[-1] * values[j])
+                    value = value * cache[e]
+                total = value if total is None else total + value
+            return total
+
+        if not self.terms:
+            return one * 0
+        return nested(list(self.terms.items()), self.nsym - 1)
 
     # -- rendering / serialization ------------------------------------------
 

@@ -1,8 +1,9 @@
 """End-to-end verification of derived identities on concrete supermatrices.
 
-Includes the degenerate-spectrum detector (resultant of the body
-characteristic polynomials), an independent Leibniz-sum determinant oracle,
-and a seeded batch harness producing machine-readable reports.
+Evaluates an identity on a supermatrix, and runs it on seeded samples in a
+batch harness producing machine-readable reports; the samples come from
+``matrices.nondegenerate_sample``, which owns the degenerate-spectrum rule.
+Also holds an independent Leibniz-sum determinant oracle.
 """
 
 from __future__ import annotations
@@ -11,54 +12,10 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .charfn import char_poly_block
 from .engine import CHIdentity, identity_coeffs
 from .grassmann import Multivector
-from .matrices import SuperMatrix, check_sampler_args, det, nondegenerate_sample
-
-
-def _body_char_poly(block, n_gen):
-    """Rational coefficient list (ascending) of det(xI - body(block))."""
-    body_entries = [
-        [Multivector.scalar(0, e.body()) for e in row] for row in block
-    ]
-    poly = char_poly_block(body_entries, 0)
-    return [c.body() for c in poly.coeffs]
-
-
-def resultant(f, g) -> Fraction:
-    """Resultant of two rational polynomials (ascending coefficient lists)."""
-    f = list(f)
-    g = list(g)
-    while f and not f[-1]:
-        f.pop()
-    while g and not g[-1]:
-        g.pop()
-    if not f or not g:
-        return Fraction(0)
-    m, n = len(f) - 1, len(g) - 1
-    if m == 0:
-        return f[0] ** n
-    if n == 0:
-        return g[0] ** m
-    size = m + n
-    rows = []
-    frev = f[::-1]
-    grev = g[::-1]
-    for i in range(n):
-        rows.append([Fraction(0)] * i + frev + [Fraction(0)] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + grev + [Fraction(0)] * (size - i - n - 1))
-    return Fraction(det(rows))
-
-
-def check_degenerate(m: SuperMatrix) -> bool:
-    """True iff the body spectra of the A and D blocks share a root."""
-    pa = _body_char_poly(m.block_a(), m.n_gen)
-    pd = _body_char_poly(m.block_d(), m.n_gen)
-    return resultant(pa, pd) == 0
+from .matrices import SuperMatrix, check_sampler_args, nondegenerate_sample
 
 
 def evaluate_identity(m: SuperMatrix, ident: CHIdentity) -> SuperMatrix:

@@ -111,6 +111,14 @@ class TestVerify:
     def test_soul_grade_above_generators_is_usage_error(self, capsys):
         assert_usage_error(capsys, "verify", "2", "1", "--generators", "2", "--soul-grade", "5")
 
+    @pytest.mark.parametrize("command", ["verify", "charfn"])
+    def test_latex_format_is_usage_error(self, capsys, command):
+        # only derive and newton render LaTeX
+        with pytest.raises(SystemExit) as exc:
+            main([command, "1", "1", "--format", "latex"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'latex'" in capsys.readouterr().err
+
 
 class TestCharfn:
     # sha256 of the whole text output, recorded before the shared renderer
@@ -155,3 +163,10 @@ class TestNewton:
         code, out = run(capsys, "newton", "3", "2")
         assert code == 0
         assert "b_2 = 1/2*S1^2 - 1/2*S2" in out
+
+    def test_negative_k_is_usage_error(self, capsys):
+        code = main(["newton", "3", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "superch newton: k must be >= 0\n"

@@ -8,6 +8,7 @@ import pytest
 from fixtures import GOLDEN, factors_21, identity_22_osp, identity_24_osp
 from superch import (
     CHIdentity,
+    DerivationError,
     SPoly,
     SRational,
     adjugate,
@@ -200,6 +201,10 @@ class TestRendering:
         ident = identity_coeffs(2, 1)
         assert CHIdentity.from_json(ident.to_json()) == ident
 
+    def test_from_json_names_missing_key(self):
+        with pytest.raises(ValueError, match="'coeffs'"):
+            CHIdentity.from_json({"p": 1, "q": 1})
+
     def test_latex_mentions_strs(self):
         tex = identity_coeffs(1, 1).to_latex()
         assert "\\str_{1}" in tex and "M^{2}" in tex
@@ -237,8 +242,17 @@ IDENTITY_DIGESTS = {
 
 OSP_DIGESTS = {
     (2, 2): "f5a8f4ded2613b153163b1e8b59450de2f9d5adfebcb4f0c4abe86655e5b0ec4",
+    (2, 4): "6ab5ac38e6a3de5a11040054cfca4ba59cbe910abeb5cf7640c1625609ea5524",
+    (3, 2): "f80a66b45597051f880a874a701ef1fb1904732fabed357214ebd8f4cfccf69e",
     (4, 2): "81d792f4e790479cb46e41250d025c3acf861be8432cc5d18393ae71410eed36",
+    (4, 4): "6e00bdd916cb7d08e7548ef91cd5ac250c01b42a5ac4aaaf55b57e173dcd027e",
+    (5, 2): "9b2e32fd8867ff60a086162e7b9689e1f362c3594ced9ca17d9ed38c0259f0fb",
+    (6, 2): "d0d1b00bb6ac25f48365a388c950fa3172159eaaf00475ca87f74e7539b6acca",
 }
+
+# With q odd there is no symplectic form: the top coefficient vanishes once
+# the odd supertraces are set to zero.
+OSP_ODD_Q = [(1, 1), (3, 1), (3, 3)]
 
 NEWTON_DIGESTS = {
     1: "746a01da290434562eb369692dfc3d3c81b2f5e8de7e6e0355e935b89c167d70",
@@ -283,6 +297,11 @@ class TestPinnedBytes:
     def test_osp(self, pq):
         ident = osp_specialize(identity_coeffs(*pq))
         assert _digest(ident.to_json()) == OSP_DIGESTS[pq]
+
+    @pytest.mark.parametrize("pq", OSP_ODD_Q)
+    def test_osp_odd_q_raises(self, pq):
+        with pytest.raises(DerivationError, match="leading OSp coefficient vanished"):
+            osp_specialize(identity_coeffs(*pq))
 
     @pytest.mark.parametrize("n", sorted(NEWTON_DIGESTS))
     def test_newton(self, n):

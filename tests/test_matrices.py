@@ -1,13 +1,17 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from oracles import body_char_poly, resultant
 from superch import (
     Multivector,
     ParityError,
     SuperMatrix,
     adjugate,
+    check_degenerate,
     det,
     even_det,
     omega_matrix,
@@ -16,7 +20,7 @@ from superch import (
     random_supermatrix,
     supertranspose,
 )
-from superch.matrices import random_supermatrix_raw
+from superch.matrices import nondegenerate_sample, random_supermatrix_raw
 
 
 def scal(v, n=4):
@@ -181,6 +185,35 @@ class TestRandomSampling:
             random_supermatrix(1, 1, 2, seed=0, max_soul_grade=3)
 
 
+# sha256 of the compact JSON of the resample counts of seeds 0..299 at N = 6,
+# recorded when the rule was decided through the body characteristic
+# polynomials' resultant
+RESAMPLE_DIGESTS = {
+    (2, 1): "ff1b6107579daf4c45c6862ed0eaea0a21ef0c9be6d2fd42f0d92ae81219ca5f",
+    (2, 2): "f87319549bc34139562cb0fb636eba5eaf42e52f805007d4a16d5b2a2f8d9ca5",
+    (3, 2): "290b8b84264188522ca11bd4888ef3062d6d0134b591bb833d0516bc48762188",
+}
+
+
+class TestDegeneracyRule:
+    @pytest.mark.parametrize("pq", sorted(RESAMPLE_DIGESTS))
+    def test_resample_counts_pinned(self, pq):
+        counts = [nondegenerate_sample(*pq, 6, seed)[1] for seed in range(300)]
+        text = json.dumps(counts, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == RESAMPLE_DIGESTS[pq]
+
+    @pytest.mark.parametrize("pq", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3)])
+    def test_agrees_with_resultant_oracle(self, pq):
+        for seed in range(100):
+            m = random_supermatrix_raw(*pq, 6, seed)
+            shared = resultant(body_char_poly(m.block_a()), body_char_poly(m.block_d())) == 0
+            assert check_degenerate(m) == shared, seed
+
+    def test_empty_block_is_never_degenerate(self):
+        for pq in ((2, 0), (0, 2)):
+            assert not check_degenerate(random_supermatrix_raw(*pq, 6, 0))
+
+
 class TestOSp:
     def test_q_must_be_even(self):
         with pytest.raises(ValueError):
@@ -221,6 +254,10 @@ class TestSerialization:
         data["entries"][0][0] = blade([1]).to_json()
         with pytest.raises(ParityError, match=r"\(0,0\)"):
             SuperMatrix.from_json(data)
+
+    def test_from_json_names_missing_key(self):
+        with pytest.raises(ValueError, match="'q'"):
+            SuperMatrix.from_json({"p": 1})
 
 
 class TestMatrixPower:

@@ -165,6 +165,24 @@ class TestEvaluate:
         vals = [F(1, 2), F(3), F(-1)]
         assert p.evaluate(vals, F(1)) == F(1, 2)
 
+    def test_matches_term_by_term_sum(self):
+        # the nested Horner form against sum of coeff * prod(value ** exponent)
+        rng = random.Random(31)
+        for _ in range(40):
+            nsym = rng.randint(1, 4)
+            terms = {
+                tuple(rng.randint(0, 3) for _ in range(nsym)): F(rng.randint(-5, 5), rng.randint(1, 4))
+                for _ in range(rng.randint(0, 8))
+            }
+            vals = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nsym)]
+            poly = SPoly(nsym, terms)
+            expected = F(0)
+            for exps, coeff in poly.terms.items():
+                for v, e in zip(vals, exps):
+                    coeff *= v ** e
+                expected += coeff
+            assert poly.evaluate(vals, F(1)) == expected
+
 
 class TestTruncSeries:
     def test_square(self):

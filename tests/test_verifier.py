@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import resultant
 from superch import (
     CHIdentity,
     Multivector,
@@ -16,7 +17,6 @@ from superch import (
     osp_random,
     osp_specialize,
     random_supermatrix,
-    resultant,
     verify_batch,
     verify_factorization,
 )
