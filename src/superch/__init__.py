@@ -18,7 +18,6 @@ from .engine import (
     CHIdentity,
     DerivationError,
     build_b_matrix,
-    factorize_small,
     identity_coeffs,
     newton_coeffs,
     osp_specialize,
@@ -28,19 +27,13 @@ from .grassmann import (
     Multivector,
     NotInvertibleError,
     ParityError,
-    blade_mul,
 )
 from .matrices import (
     SuperMatrix,
     adjugate,
     check_degenerate,
     det,
-    even_det,
-    omega_matrix,
-    osp_random,
-    osp_random_pair,
     random_supermatrix,
-    supertranspose,
 )
 from .poly import (
     NotDivisibleError,
@@ -52,9 +45,7 @@ from .poly import (
 from .verifier import (
     VerificationReport,
     evaluate_identity,
-    oracle_det_permutation,
     verify_batch,
-    verify_factorization,
 )
 
 __version__ = "0.1.0"

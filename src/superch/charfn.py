@@ -156,8 +156,6 @@ class RatioForm:
 def char_poly_block(entries, n_gen: int) -> UniPoly:
     """det(xI - E) for a square grid of even Multivectors; monic."""
     size = len(entries)
-    if size == 0:
-        return UniPoly.one(n_gen)
     for i, row in enumerate(entries):
         if len(row) != size:
             raise ValueError("matrix must be square")
@@ -182,34 +180,33 @@ def _const_grid(entries):
     return [[UniPoly.const(e) for e in row] for row in entries]
 
 
+def _schur(outer, inner, left, right, n_gen):
+    """(c, det[c(x)(xI - outer) - left adj(xI - inner) right]), c = det(xI - inner).
+
+    An empty inner block has c = 1 and no correction, and an empty outer
+    block gives the empty determinant 1, so no block size needs a branch.
+    """
+    one = UniPoly.one(n_gen)
+    zero = UniPoly.zero(n_gen)
+    c = char_poly_block(inner, n_gen)
+    adj_right = mat_mul_entries(adjugate(_x_minus(inner, n_gen), one), _const_grid(right))
+    grid = [
+        [c * e - sum((u * v[j] for u, v in zip(left[i], adj_right)), zero)
+         for j, e in enumerate(row)]
+        for i, row in enumerate(_x_minus(outer, n_gen))
+    ]
+    return c, det(grid, one=one)
+
+
 def h_via_d(m: SuperMatrix) -> RatioForm:
     """h(x) = det[d(x)(xI - A) - B adj(xI - D) C] / d(x)^(p+1)."""
-    n_gen = m.n_gen
-    d = char_poly_block(m.block_d(), n_gen)
-    xa = _x_minus(m.block_a(), n_gen)
-    if m.q == 0:
-        num = det(xa, one=UniPoly.one(n_gen))
-        return RatioForm(num, UniPoly.one(n_gen), "via-d")
-    scaled = [[d * e for e in row] for row in xa]
-    adj_xd = adjugate(_x_minus(m.block_d(), n_gen), UniPoly.one(n_gen))
-    badc = mat_mul_entries(mat_mul_entries(_const_grid(m.block_b()), adj_xd), _const_grid(m.block_c()))
-    inner = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(scaled, badc)]
-    num = det(inner, one=UniPoly.one(n_gen))
+    d, num = _schur(m.block_a(), m.block_d(), m.block_b(), m.block_c(), m.n_gen)
     return RatioForm(num, d ** (m.p + 1), "via-d")
 
 
 def h_via_a(m: SuperMatrix) -> RatioForm:
     """h(x) = a(x)^(q+1) / det[a(x)(xI - D) - C adj(xI - A) B]."""
-    n_gen = m.n_gen
-    a = char_poly_block(m.block_a(), n_gen)
-    if m.q == 0:
-        return RatioForm(a, UniPoly.one(n_gen), "via-a")
-    xd = _x_minus(m.block_d(), n_gen)
-    scaled = [[a * e for e in row] for row in xd]
-    adj_xa = adjugate(_x_minus(m.block_a(), n_gen), UniPoly.one(n_gen))
-    cadb = mat_mul_entries(mat_mul_entries(_const_grid(m.block_c()), adj_xa), _const_grid(m.block_b()))
-    inner = [[u - v for u, v in zip(r1, r2)] for r1, r2 in zip(scaled, cadb)]
-    den = det(inner, one=UniPoly.one(n_gen))
+    a, den = _schur(m.block_d(), m.block_a(), m.block_c(), m.block_b(), m.n_gen)
     return RatioForm(a ** (m.q + 1), den, "via-a")
 
 

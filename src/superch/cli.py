@@ -7,8 +7,8 @@ import json
 import os
 import sys
 
-from .charfn import check_equivalence, full_char_poly, h_via_a, h_via_d
-from .engine import identity_coeffs, newton_coeffs, osp_specialize
+from .charfn import full_char_poly, h_via_a, h_via_d
+from .engine import DerivationError, identity_coeffs, newton_coeffs, osp_specialize
 from .matrices import check_sampler_args, random_supermatrix
 from .verifier import verify_batch
 
@@ -95,7 +95,10 @@ def _emit(text: str, out_path):
 def cmd_derive(args) -> int:
     ident = identity_coeffs(args.p, args.q)
     if args.osp:
-        ident = osp_specialize(ident)
+        try:
+            ident = osp_specialize(ident)
+        except DerivationError as exc:
+            raise UsageError(f"no OSp identity for (p,q)=({args.p},{args.q}): {exc}") from None
     _emit(ident.render(args.format), args.out)
     return EXIT_OK
 

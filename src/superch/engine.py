@@ -63,8 +63,8 @@ def _newton_z(packing: _Packing, count: int):
 
 def _b_matrix_z(p: int, q: int):
     """(packing, [n! b_j for j <= n], n! B): the B-matrix over Z."""
-    if p < 1 or q < 1:
-        raise ValueError("p and q must be >= 1")
+    if p < 1 or q < 0:
+        raise ValueError("need p >= 1 and q >= 0")
     if q > p:
         raise ValueError("use sign-flip dual")
     n = p + q
@@ -206,10 +206,6 @@ def identity_coeffs(p: int, q: int) -> CHIdentity:
         return identity_coeffs(q, p).flip_signs()
 
     n = p + q
-    if q == 0:
-        # classical Cayley-Hamilton: F = G, no B-matrix, b_0 = 1 already
-        return CHIdentity(p, 0, newton_coeffs(n, n))
-
     packing, b, det_b, nus = _mu_z(p, q)
     # det(B) * (1 - sum mu_k t^k) = det(B) - sum nu_k t^k stays polynomial,
     # so squaring and multiplying by G gives (det B)^2 * F directly, here
@@ -276,42 +272,3 @@ def osp_specialize(ident: CHIdentity) -> CHIdentity:
     _, lead_coeff = reduced[0].lead()
     inv = 1 / lead_coeff
     return CHIdentity(ident.p, ident.q, [c * inv for c in reduced])
-
-
-def factorize_small(ident: CHIdentity):
-    """Matrix-polynomial factors (degrees p and q) for the small cases.
-
-    Returns (left, right) coefficient lists (descending powers of M, central
-    SPoly entries) whose convolution reproduces ident.coeffs, or None when
-    the case is not one of (1,1), (2,1), (1,2).
-    """
-    pq = (ident.p, ident.q)
-    if pq == (1, 1):
-        s1, s2 = SPoly.symbols(2)
-        half = Fraction(1, 2)
-        left = [s1, (s2 + s1 ** 2) * (-half)]
-        right = [s1, (s2 - s1 ** 2) * (-half)]
-        return left, right
-    if pq == (2, 1):
-        return _factors_21(flip=False)
-    if pq == (1, 2):
-        left, right = _factors_21(flip=True)
-        return left, right
-    return None
-
-
-def _factors_21(flip: bool):
-    s1, s2, s3 = SPoly.symbols(3)
-    p2 = [
-        s1 ** 2 - s2,
-        (s1 ** 3 - s3) * Fraction(-2, 3),
-        (s1 ** 4 - 4 * s1 * s3 + 3 * s2 ** 2) * Fraction(1, 6),
-    ]
-    p1 = [
-        s1 ** 2 - s2,
-        (s1 ** 3 - 3 * s1 * s2 + 2 * s3) * Fraction(1, 3),
-    ]
-    if flip:
-        p2 = [c.flip_signs() for c in p2]
-        p1 = [c.flip_signs() for c in p1]
-    return p2, p1

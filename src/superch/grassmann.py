@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .poly import _add_terms, _as_fraction, _power, _render_terms
+from .poly import _add_terms, _as_fraction, _power, _render_terms, _terms_from_json
 
 
 class ParityError(ValueError):
@@ -55,19 +55,6 @@ def _merge_sign(m1: int, m2: int) -> int:
         swaps += (m1 >> low.bit_length()).bit_count()
         m ^= low
     return -1 if swaps & 1 else 1
-
-
-def blade_mul(b1, b2):
-    """Multiply two blades given as increasing index tuples.
-
-    Returns ``(sign, blade)``; sign is 0 when the blades share a generator
-    (nilpotency), otherwise +-1 with the merged, sorted blade.
-    """
-    m1 = mask_from_indices(b1)
-    m2 = mask_from_indices(b2)
-    if m1 & m2:
-        return 0, ()
-    return _merge_sign(m1, m2), indices_from_mask(m1 | m2)
 
 
 class Multivector:
@@ -273,11 +260,13 @@ class Multivector:
 
     @classmethod
     def from_json(cls, data) -> "Multivector":
-        n_gen = int(data["N"])
-        blades = [
-            (tuple(t["blade"]), Fraction(t["coeff"])) for t in data["terms"]
-        ]
-        return cls.from_blades(n_gen, blades)
+        if not isinstance(data, dict):
+            raise ValueError(f"multivector JSON must be an object, got {type(data).__name__}")
+        try:
+            n_gen, terms = int(data["N"]), data["terms"]
+        except KeyError as exc:
+            raise ValueError(f"multivector JSON has no {exc.args[0]!r} key") from None
+        return cls.from_blades(n_gen, _terms_from_json(terms, "blade"))
 
     def __str__(self):
         return _render_terms(

@@ -55,22 +55,11 @@ def det(rows, one=None):
     return minor(tuple(range(n)))
 
 
-def even_det(rows):
-    """Determinant of a matrix of even Multivectors, with a parity check."""
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            if not entry.is_even():
-                raise ParityError(f"parity error: entry ({i},{j}) is not even")
-    return det(rows)
-
-
 def adjugate(rows, one):
     """Adjugate (signed-cofactor transpose): adj(E) * E = det(E) * I."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    if n == 1:
-        return [[one]]
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -79,7 +68,7 @@ def adjugate(rows, one):
                 for r in range(n)
                 if r != i
             ]
-            cof = det(sub)
+            cof = det(sub, one)
             if (i + j) & 1:
                 cof = -cof
             adj[j][i] = cof
@@ -337,77 +326,3 @@ def random_supermatrix(p, q, n_gen, seed, max_soul_grade=3) -> SuperMatrix:
     if m is None:
         raise RuntimeError("could not generate nondegenerate sample")
     return m
-
-
-def transpose(entries):
-    return [list(col) for col in zip(*entries)]
-
-
-def osp_random_pair(p, q, n_gen, seed, max_soul_grade=3):
-    """Random (M, Z) with Z graded antisymmetric and M = Omega * Z.
-
-    Z has A antisymmetric, D symmetric, B = C^t; Omega = diag(1, J) with J
-    the standard antisymmetric form, so q must be even.
-    """
-    if q % 2:
-        raise ValueError("no symplectic form: q must be even")
-    rng = random.Random(seed)
-    zero = Multivector.zero(n_gen)
-
-    a = [[zero] * p for _ in range(p)]
-    for i in range(p):
-        for j in range(i + 1, p):
-            v = _random_entry(rng, n_gen, max_soul_grade, 0)
-            a[i][j] = v
-            a[j][i] = -v
-    d = [[zero] * q for _ in range(q)]
-    for i in range(q):
-        d[i][i] = _random_entry(rng, n_gen, max_soul_grade, 0)
-        for j in range(i + 1, q):
-            v = _random_entry(rng, n_gen, max_soul_grade, 0)
-            d[i][j] = v
-            d[j][i] = v
-    c = [[_random_entry(rng, n_gen, max_soul_grade, 1) for _ in range(p)] for _ in range(q)]
-    b = transpose(c)
-
-    z_entries = [ra + rb for ra, rb in zip(a, b)] + [rc + rd for rc, rd in zip(c, d)]
-    z = SuperMatrix(p, q, n_gen, z_entries, validate=False)
-    return (omega_matrix(p, q, n_gen) * z), z
-
-
-def osp_random(p, q, n_gen, seed, max_soul_grade=3) -> SuperMatrix:
-    """Random OSp supermatrix M = Omega * Z (q must be even)."""
-    return osp_random_pair(p, q, n_gen, seed, max_soul_grade)[0]
-
-
-def omega_matrix(p, q, n_gen) -> SuperMatrix:
-    """Omega = diag(I_p, J) with J = [[0, I], [-I, 0]] (q even)."""
-    if q % 2:
-        raise ValueError("no symplectic form: q must be even")
-    n = p + q
-    one = Multivector.one(n_gen)
-    zero = Multivector.zero(n_gen)
-    entries = [[zero] * n for _ in range(n)]
-    for i in range(p):
-        entries[i][i] = one
-    h = q // 2
-    for i in range(h):
-        entries[p + i][p + h + i] = one
-        entries[p + h + i][p + i] = -one
-    return SuperMatrix(p, q, n_gen, entries, validate=False)
-
-
-def supertranspose(m: SuperMatrix) -> SuperMatrix:
-    """Supertranspose with the block rule (A^t, -C^t; B^t, D^t).
-
-    This sign convention is the one under which the graded antisymmetry
-    Omega*M + supertranspose(M)*Omega = 0 holds exactly for M = Omega*Z
-    built by osp_random (calibrated numerically, all tested (p,q)).
-    """
-    at = transpose(m.block_a())
-    bt = transpose(m.block_b())
-    ct = transpose(m.block_c())
-    dt = transpose(m.block_d())
-    top = [ra + [-e for e in rc] for ra, rc in zip(at, ct)]
-    bottom = [list(rb) + list(rd) for rb, rd in zip(bt, dt)]
-    return SuperMatrix(m.p, m.q, m.n_gen, top + bottom, validate=False)

@@ -45,6 +45,25 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected rational coefficient, got {type(value).__name__}")
 
 
+def _terms_from_json(data, key):
+    """(tuple, Fraction) pairs from a JSON list of {key: [...], "coeff": ...} terms.
+
+    A coefficient must be a string or an integer: a JSON float such as 1.5
+    would become the binary fraction of the float, not an exact value.
+    """
+    if not isinstance(data, list):
+        raise ValueError(f"terms must be a JSON list, got {type(data).__name__}")
+    pairs = []
+    for term in data:
+        if not isinstance(term, dict) or not isinstance(term.get(key), list) or "coeff" not in term:
+            raise ValueError(f"term needs a {key!r} list and a 'coeff': {term!r}")
+        coeff = term["coeff"]
+        if type(coeff) not in (str, int):
+            raise ValueError(f"coefficient must be a string or an integer, got {coeff!r}")
+        pairs.append((tuple(term[key]), Fraction(coeff)))
+    return pairs
+
+
 def grlex_key(exps):
     """Graded lexicographic sort key (larger key = leading)."""
     return (sum(exps), exps)
@@ -490,7 +509,7 @@ class SPoly:
 
     @classmethod
     def from_json(cls, nsym: int, data) -> "SPoly":
-        return cls(nsym, {tuple(t["exponents"]): Fraction(t["coeff"]) for t in data})
+        return cls(nsym, dict(_terms_from_json(data, "exponents")))
 
 
 def _max_exponent(terms) -> int:

@@ -3,12 +3,10 @@
 Evaluates an identity on a supermatrix, and runs it on seeded samples in a
 batch harness producing machine-readable reports; the samples come from
 ``matrices.nondegenerate_sample``, which owns the degenerate-spectrum rule.
-Also holds an independent Leibniz-sum determinant oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -34,49 +32,6 @@ def evaluate_identity(m: SuperMatrix, ident: CHIdentity) -> SuperMatrix:
         if value:
             acc = acc + powers[n - j].scale(value)
     return acc
-
-
-def oracle_det_permutation(entries):
-    """Independent Leibniz permutation-sum determinant (sizes <= 5)."""
-    n = len(entries)
-    if n > 5:
-        raise ValueError("permutation oracle limited to size <= 5")
-    if any(len(r) != n for r in entries):
-        raise ValueError("matrix must be square")
-    total = None
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        term = None
-        for i in range(n):
-            e = entries[i][perm[i]]
-            term = e if term is None else term * e
-        if sign < 0:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
-def _perm_sign(perm) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
-
-
-def verify_factorization(ident: CHIdentity, left, right) -> bool:
-    """Does the coefficient convolution of the two factors equal the identity?"""
-    if len(left) - 1 + len(right) - 1 != ident.n:
-        raise ValueError("factor degrees must sum to the identity degree")
-    nsym = ident.nsym
-    from .poly import SPoly
-
-    conv = [SPoly.zero(nsym) for _ in range(ident.n + 1)]
-    for i, a in enumerate(left):
-        for j, b in enumerate(right):
-            conv[i + j] = conv[i + j] + a * b
-    return conv == ident.coeffs
 
 
 @dataclass

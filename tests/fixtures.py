@@ -3,11 +3,19 @@
 Each identity is a list of SPoly coefficients, index j multiplying
 M^(p+q-j), normalized so the S1^(2pq) monomial of the top coefficient is
 +1 (OSp cases: leading graded-lex monomial +1).
+
+``factorize_small`` returns the published matrix-polynomial factors of the
+(1,1), (2,1) and (1,2) identities.  ``osp_random_pair`` and its helpers
+sample orthosymplectic supermatrices M = Omega * Z; they draw their entries
+with ``superch.matrices._random_entry``, so they consume the RNG in the
+same order as the package's own sampler.
 """
 
+import random
 from fractions import Fraction as F
 
-from superch import SPoly
+from superch import Multivector, SPoly, SuperMatrix
+from superch.matrices import _random_entry
 
 
 def _syms(n):
@@ -180,6 +188,102 @@ def factors_21():
         (s1 ** 3 - 3 * s1 * s2 + 2 * s3) * F(1, 3),
     ]
     return p2, p1
+
+
+def factorize_small(ident):
+    """Matrix-polynomial factors (degrees p and q) for the small cases.
+
+    Returns (left, right) coefficient lists (descending powers of M, central
+    SPoly entries) whose convolution reproduces ident.coeffs, or None when
+    the case is not one of (1,1), (2,1), (1,2).
+    """
+    pq = (ident.p, ident.q)
+    if pq == (1, 1):
+        s1, s2 = SPoly.symbols(2)
+        half = F(1, 2)
+        left = [s1, (s2 + s1 ** 2) * (-half)]
+        right = [s1, (s2 - s1 ** 2) * (-half)]
+        return left, right
+    if pq == (2, 1):
+        return factors_21()
+    if pq == (1, 2):
+        p2, p1 = factors_21()
+        return [c.flip_signs() for c in p2], [c.flip_signs() for c in p1]
+    return None
+
+
+def transpose(entries):
+    return [list(col) for col in zip(*entries)]
+
+
+def osp_random_pair(p, q, n_gen, seed, max_soul_grade=3):
+    """Random (M, Z) with Z graded antisymmetric and M = Omega * Z.
+
+    Z has A antisymmetric, D symmetric, B = C^t; Omega = diag(1, J) with J
+    the standard antisymmetric form, so q must be even.
+    """
+    if q % 2:
+        raise ValueError("no symplectic form: q must be even")
+    rng = random.Random(seed)
+    zero = Multivector.zero(n_gen)
+
+    a = [[zero] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i + 1, p):
+            v = _random_entry(rng, n_gen, max_soul_grade, 0)
+            a[i][j] = v
+            a[j][i] = -v
+    d = [[zero] * q for _ in range(q)]
+    for i in range(q):
+        d[i][i] = _random_entry(rng, n_gen, max_soul_grade, 0)
+        for j in range(i + 1, q):
+            v = _random_entry(rng, n_gen, max_soul_grade, 0)
+            d[i][j] = v
+            d[j][i] = v
+    c = [[_random_entry(rng, n_gen, max_soul_grade, 1) for _ in range(p)] for _ in range(q)]
+    b = transpose(c)
+
+    z_entries = [ra + rb for ra, rb in zip(a, b)] + [rc + rd for rc, rd in zip(c, d)]
+    z = SuperMatrix(p, q, n_gen, z_entries, validate=False)
+    return (omega_matrix(p, q, n_gen) * z), z
+
+
+def osp_random(p, q, n_gen, seed, max_soul_grade=3) -> SuperMatrix:
+    """Random OSp supermatrix M = Omega * Z (q must be even)."""
+    return osp_random_pair(p, q, n_gen, seed, max_soul_grade)[0]
+
+
+def omega_matrix(p, q, n_gen) -> SuperMatrix:
+    """Omega = diag(I_p, J) with J = [[0, I], [-I, 0]] (q even)."""
+    if q % 2:
+        raise ValueError("no symplectic form: q must be even")
+    n = p + q
+    one = Multivector.one(n_gen)
+    zero = Multivector.zero(n_gen)
+    entries = [[zero] * n for _ in range(n)]
+    for i in range(p):
+        entries[i][i] = one
+    h = q // 2
+    for i in range(h):
+        entries[p + i][p + h + i] = one
+        entries[p + h + i][p + i] = -one
+    return SuperMatrix(p, q, n_gen, entries, validate=False)
+
+
+def supertranspose(m: SuperMatrix) -> SuperMatrix:
+    """Supertranspose with the block rule (A^t, -C^t; B^t, D^t).
+
+    This sign convention is the one under which the graded antisymmetry
+    Omega*M + supertranspose(M)*Omega = 0 holds exactly for M = Omega*Z
+    built by osp_random (calibrated numerically, all tested (p,q)).
+    """
+    at = transpose(m.block_a())
+    bt = transpose(m.block_b())
+    ct = transpose(m.block_c())
+    dt = transpose(m.block_d())
+    top = [ra + [-e for e in rc] for ra, rc in zip(at, ct)]
+    bottom = [list(rb) + list(rd) for rb, rd in zip(bt, dt)]
+    return SuperMatrix(m.p, m.q, m.n_gen, top + bottom, validate=False)
 
 
 GOLDEN = {

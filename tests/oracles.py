@@ -5,12 +5,20 @@ the long way round: each body characteristic polynomial as a determinant
 over univariate polynomials with zero-generator Multivector coefficients,
 then the Sylvester resultant of the two.  ``superch.check_degenerate`` must
 reach the same decision on every sample.
+
+``oracle_det_permutation`` is the Leibniz permutation sum, checked against
+the memoized Laplace expansion of ``superch.det``; ``verify_factorization``
+multiplies two matrix-polynomial factors out and compares the product with
+an identity; ``blade_mul`` multiplies two index-tuple blades, as a
+reference for the bitmask sign rule inside ``Multivector.__mul__``.
 """
 
+import itertools
 from fractions import Fraction
 
-from superch import Multivector, det
+from superch import Multivector, SPoly, det
 from superch.charfn import char_poly_block
+from superch.grassmann import _merge_sign, indices_from_mask, mask_from_indices
 
 
 def body_char_poly(block):
@@ -46,3 +54,58 @@ def resultant(f, g) -> Fraction:
     for i in range(m):
         rows.append([Fraction(0)] * i + grev + [Fraction(0)] * (size - i - n - 1))
     return Fraction(det(rows))
+
+
+def oracle_det_permutation(entries):
+    """Independent Leibniz permutation-sum determinant (sizes <= 5)."""
+    n = len(entries)
+    if n > 5:
+        raise ValueError("permutation oracle limited to size <= 5")
+    if any(len(r) != n for r in entries):
+        raise ValueError("matrix must be square")
+    total = None
+    for perm in itertools.permutations(range(n)):
+        sign = _perm_sign(perm)
+        term = None
+        for i in range(n):
+            e = entries[i][perm[i]]
+            term = e if term is None else term * e
+        if sign < 0:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def _perm_sign(perm) -> int:
+    inv = 0
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                inv += 1
+    return -1 if inv & 1 else 1
+
+
+def verify_factorization(ident, left, right) -> bool:
+    """Does the coefficient convolution of the two factors equal the identity?"""
+    if len(left) - 1 + len(right) - 1 != ident.n:
+        raise ValueError("factor degrees must sum to the identity degree")
+    nsym = ident.nsym
+
+    conv = [SPoly.zero(nsym) for _ in range(ident.n + 1)]
+    for i, a in enumerate(left):
+        for j, b in enumerate(right):
+            conv[i + j] = conv[i + j] + a * b
+    return conv == ident.coeffs
+
+
+def blade_mul(b1, b2):
+    """Multiply two blades given as increasing index tuples.
+
+    Returns ``(sign, blade)``; sign is 0 when the blades share a generator
+    (nilpotency), otherwise +-1 with the merged, sorted blade.
+    """
+    m1 = mask_from_indices(b1)
+    m2 = mask_from_indices(b2)
+    if m1 & m2:
+        return 0, ()
+    return _merge_sign(m1, m2), indices_from_mask(m1 | m2)

@@ -14,10 +14,12 @@ from fractions import Fraction as F
 
 from fixtures import (
     GOLDEN,
+    factorize_small,
     factors_21,
     identity_22_osp,
     identity_24_osp,
 )
+from oracles import oracle_det_permutation, verify_factorization
 from superch import (
     Multivector,
     SuperMatrix,
@@ -26,14 +28,11 @@ from superch import (
     check_equivalence,
     det,
     evaluate_identity,
-    factorize_small,
     identity_coeffs,
     newton_coeffs,
-    oracle_det_permutation,
     osp_specialize,
     random_supermatrix,
     verify_batch,
-    verify_factorization,
 )
 from superch.matrices import mat_mul_entries
 

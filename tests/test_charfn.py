@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from superch import (
     h_via_d,
     random_supermatrix,
 )
+from superch.matrices import random_supermatrix_raw
 
 
 def scal(v, n=4):
@@ -122,6 +124,37 @@ class TestEquivalence:
         p, q = pq
         for seed in range(3):
             assert check_equivalence(random_supermatrix(p, q, 6, seed=seed))
+
+
+# sha256 of str(h_via_d(m)) and str(h_via_a(m)) on raw samples with an
+# empty D block, recorded when that block size took a branch of its own.
+EMPTY_D_DIGESTS = {
+    (2, 0): (
+        "9256cbf69c54bcc57108e44461f5be60f4482b9464421724a807d31d10cf0307",
+        "e7c0d1b959f6c55bb23f4205beb346ae386ba61c12a418684f246309dc8cb72a",
+    ),
+    (3, 0): (
+        "0e95669de07ac437f65d88bc229e836d4d60afd983d312bb399073af05d0f7c7",
+        "67d790af23b6b0fe23b4590997ce3c793493ce27d730ed3f22fe143873943146",
+    ),
+    (4, 0): (
+        "0c49fea10813e0b1e22179944e8091d1f96165448291594295c262fbbf49d1cb",
+        "b77d47e16c6df97813080e737e6565423bcb6ff1e9cc47948747483faf5a8fa7",
+    ),
+}
+
+
+class TestEmptyBlocks:
+    @pytest.mark.parametrize("pq", sorted(EMPTY_D_DIGESTS))
+    def test_empty_d_pinned(self, pq):
+        m = random_supermatrix_raw(*pq, 6, 0)
+        digests = tuple(hashlib.sha256(str(h(m)).encode()).hexdigest() for h in (h_via_d, h_via_a))
+        assert digests == EMPTY_D_DIGESTS[pq]
+
+    @pytest.mark.parametrize("pq", [(0, 2), (0, 3)])
+    def test_empty_a_equivalent(self, pq):
+        for seed in range(3):
+            assert check_equivalence(random_supermatrix_raw(*pq, 6, seed))
 
 
 class TestFullCharPoly:

@@ -42,6 +42,18 @@ class TestDerive:
         assert code == 0
         assert "S2^2" in out
 
+    @pytest.mark.parametrize("pq", [(1, 1), (3, 1)])
+    def test_osp_without_identity_is_usage_error(self, capsys, pq):
+        # with p and q both odd the top coefficient vanishes on OSp
+        code = main(["derive", *map(str, pq), "--osp"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"superch derive: no OSp identity for (p,q)=({pq[0]},{pq[1]}): "
+            "leading OSp coefficient vanished\n"
+        )
+
     def test_invalid_dims_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["derive", "0", "1"])

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from fixtures import GOLDEN, factors_21, identity_22_osp, identity_24_osp
+from fixtures import GOLDEN, factorize_small, factors_21, identity_22_osp, identity_24_osp
+from oracles import verify_factorization
 from superch import (
     CHIdentity,
     DerivationError,
@@ -14,7 +15,6 @@ from superch import (
     adjugate,
     build_b_matrix,
     det,
-    factorize_small,
     identity_coeffs,
     newton_coeffs,
     osp_specialize,
@@ -179,14 +179,10 @@ class TestOSp:
 
 class TestFactorization:
     def test_21_published_factors(self):
-        from superch import verify_factorization
-
         left, right = factors_21()
         assert verify_factorization(identity_coeffs(2, 1), left, right)
 
     def test_factorize_small_cases(self):
-        from superch import verify_factorization
-
         for pq in [(1, 1), (2, 1), (1, 2)]:
             ident = identity_coeffs(*pq)
             left, right = factorize_small(ident)
@@ -204,6 +200,12 @@ class TestRendering:
     def test_from_json_names_missing_key(self):
         with pytest.raises(ValueError, match="'coeffs'"):
             CHIdentity.from_json({"p": 1, "q": 1})
+
+    def test_from_json_rejects_float_coefficient(self):
+        data = identity_coeffs(1, 1).to_json()
+        data["coeffs"][0][0]["coeff"] = 1.0
+        with pytest.raises(ValueError, match="string or an integer"):
+            CHIdentity.from_json(data)
 
     def test_latex_mentions_strs(self):
         tex = identity_coeffs(1, 1).to_latex()
@@ -238,6 +240,24 @@ IDENTITY_DIGESTS = {
     (4, 1): "189bec741c3a7568fb54d74ee66520f55b854e257b6452345d0178afdafbcaab",
     (4, 2): "b6adef49e1852e531617810edc81de17ee4a9a79b782e9110c27442e74bdeb23",
     (5, 1): "c2a969ee3f7880585813c3d5186162bccd005a54728c27cc405fbf255e2aa9ef",
+}
+
+# q = 0 and p = 0: classical Cayley-Hamilton, where the identity is the
+# Newton coefficients b_0..b_n (and its sign-flip dual), recorded when
+# these shapes still took a branch of their own.
+CLASSICAL_DIGESTS = {
+    (1, 0): "9e4bb4a7b89299976c79aa123603f4225dfebc6c9d1d1b5579e741c9efab8f6d",
+    (2, 0): "e3ee74f1b5b595f0616a27b64692eb99d4a7beca203137f9dd79591514f03c16",
+    (3, 0): "fb299efdab5e118bdf7c0199fcd076543dc54ce2988d35dbfbd76fe0bfbcc7d7",
+    (4, 0): "cef94c6761c12b7317ca2413a241828556e9678c3a39150f2527b25a795192e3",
+    (5, 0): "288b313be5fcfc8212fda20983518e7594e76f6ff7748bd401308ff401e8cb8d",
+    (6, 0): "46bd124ce315f0328a58e9d2da2508a2ba87b10a09e126f85ddf30ec18c24426",
+    (0, 1): "cb49275852c7052e80c32622e61804132e7a75c59c8e0af74c3f46c8c690fc70",
+    (0, 2): "900e592a5ff1f5f0e6493078a3e840844f2c2dc8ab0ec33ce7f72ec39e00c615",
+    (0, 3): "eb13ca6048990264a079c64bd5d0168320b20baf60ec0bc59e12640c826b137a",
+    (0, 4): "1089f06b1a3ed0116fa2bf52c61334ddcb2b15c6395f6534519c77dea7de8c12",
+    (0, 5): "4f50b6cc5abe6d5a68fc878bcfdc396fca1a5ef94ed5fad068d8d18436a86b0c",
+    (0, 6): "0de2806fd66678692a4aabf2333974948d93d2af39f808c7d96e0b48743472f8",
 }
 
 OSP_DIGESTS = {
@@ -292,6 +312,10 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("pq", sorted(IDENTITY_DIGESTS))
     def test_identity(self, pq):
         assert _digest(identity_coeffs(*pq).to_json()) == IDENTITY_DIGESTS[pq]
+
+    @pytest.mark.parametrize("pq", sorted(CLASSICAL_DIGESTS))
+    def test_classical(self, pq):
+        assert _digest(identity_coeffs(*pq).to_json()) == CLASSICAL_DIGESTS[pq]
 
     @pytest.mark.parametrize("pq", sorted(OSP_DIGESTS))
     def test_osp(self, pq):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import blade_mul
 from superch import (
     Multivector,
     NotInvertibleError,
     ParityError,
-    blade_mul,
 )
 
 
@@ -165,6 +165,19 @@ class TestSerialization:
         a = mv(((1, 2), F(1, 3)))
         data = a.to_json()
         assert data == {"N": 4, "terms": [{"blade": [1, 2], "coeff": "1/3"}]}
+
+    @pytest.mark.parametrize("data, match", [
+        ([], "object"),
+        ({"terms": []}, "'N'"),
+        ({"N": 2}, "'terms'"),
+        ({"N": 2, "terms": {"blade": [1]}}, "JSON list"),
+        ({"N": 2, "terms": [{"blade": [1]}]}, "'coeff'"),
+        ({"N": 2, "terms": [{"coeff": "1"}]}, "'blade'"),
+        ({"N": 2, "terms": [{"blade": [1], "coeff": 0.5}]}, "string or an integer"),
+    ])
+    def test_from_json_rejects_bad_payload(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            Multivector.from_json(data)
 
 
 class TestPower:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fixtures import omega_matrix, osp_random, osp_random_pair, supertranspose, transpose
 from oracles import body_char_poly, resultant
 from superch import (
     Multivector,
@@ -13,12 +14,7 @@ from superch import (
     adjugate,
     check_degenerate,
     det,
-    even_det,
-    omega_matrix,
-    osp_random,
-    osp_random_pair,
     random_supermatrix,
-    supertranspose,
 )
 from superch.matrices import nondegenerate_sample, random_supermatrix_raw
 
@@ -132,10 +128,6 @@ class TestDet:
                 b = random_even_matrix(rng, size)
                 assert det(mat_mul_entries(a, b)) == det(a) * det(b)
 
-    def test_parity_error(self):
-        with pytest.raises(ParityError):
-            even_det([[blade([1])]])
-
 
 class TestAdjugate:
     def test_1x1(self):
@@ -233,8 +225,6 @@ class TestOSp:
             assert ((om * m) + (supertranspose(m) * om)).is_zero()
 
     def test_z_block_constraints(self):
-        from superch.matrices import transpose
-
         _, z = osp_random_pair(3, 2, 6, seed=23)
         a = z.block_a()
         assert transpose(a) == [[-e for e in row] for row in a]
@@ -258,6 +248,12 @@ class TestSerialization:
     def test_from_json_names_missing_key(self):
         with pytest.raises(ValueError, match="'q'"):
             SuperMatrix.from_json({"p": 1})
+
+    def test_from_json_rejects_bad_entry(self):
+        data = random_supermatrix_raw(1, 1, 4, seed=18).to_json()
+        del data["entries"][0][1]["terms"]
+        with pytest.raises(ValueError, match="'terms'"):
+            SuperMatrix.from_json(data)
 
 
 class TestMatrixPower:

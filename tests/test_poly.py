@@ -246,6 +246,21 @@ class TestRendering:
         p = F(1, 6) * (s1 ** 4 - 4 * s1 * s3 + 3 * s2 ** 2)
         assert SPoly.from_json(3, p.to_json()) == p
 
+    @pytest.mark.parametrize("data, match", [
+        ({"exponents": [1], "coeff": "1"}, "JSON list"),
+        ([{"exponents": [1]}], "'coeff'"),
+        ([{"coeff": "1"}], "'exponents'"),
+        (["S1"], "'exponents'"),
+        ([{"exponents": [1], "coeff": 1.5}], "string or an integer"),
+        ([{"exponents": [1], "coeff": True}], "string or an integer"),
+    ])
+    def test_from_json_rejects_bad_payload(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            SPoly.from_json(1, data)
+
+    def test_from_json_accepts_int_coefficient(self):
+        assert SPoly.from_json(1, [{"exponents": [1], "coeff": 3}]) == 3 * SPoly.symbol(1, 1)
+
     def test_latex(self):
         s1, s2 = syms(2)
         assert "\\str_{1}" in (s1 ** 2 - s2).to_latex()

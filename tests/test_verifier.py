@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import resultant
+from fixtures import factorize_small, osp_random
+from oracles import oracle_det_permutation, resultant, verify_factorization
 from superch import (
     CHIdentity,
     Multivector,
@@ -13,12 +14,9 @@ from superch import (
     det,
     evaluate_identity,
     identity_coeffs,
-    oracle_det_permutation,
-    osp_random,
     osp_specialize,
     random_supermatrix,
     verify_batch,
-    verify_factorization,
 )
 from superch.matrices import random_supermatrix_raw
 
@@ -196,8 +194,6 @@ class TestOSpVerification:
 
 class TestVerifyFactorization:
     def test_perturbed_factor_rejected(self):
-        from superch import factorize_small
-
         ident = identity_coeffs(2, 1)
         left, right = factorize_small(ident)
         assert verify_factorization(ident, left, right)
