@@ -11,27 +11,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .grassmann import Multivector, ParityError
 from .matrices import SuperMatrix, adjugate, det, mat_mul_entries
-from .poly import _power
+from .poly import _Sparse
 
 
-class UniPoly:
-    """Polynomial in a central variable x with Multivector coefficients.
+class UniPoly(_Sparse):
+    """Polynomial in a central variable x with Multivector coefficients,
+    stored as {degree: nonzero Multivector}.
 
     Coefficient multiplication preserves operand order, so matrices of
     UniPoly entries with odd Multivector coefficients multiply correctly.
+    A Multivector with the same generator count is a scalar of this ring.
     """
 
-    __slots__ = ("n_gen", "coeffs")
+    __slots__ = ()
+    _mismatch = "generator count mismatch"
 
     def __init__(self, n_gen: int, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.n_gen = n_gen
-        self.coeffs = coeffs
+        self._dim = n_gen
+        self.terms = {k: c for k, c in enumerate(coeffs) if c}
+
+    n_gen = property(attrgetter("_dim"), doc="Number of generators of the coefficients.")
+
+    @property
+    def coeffs(self):
+        """Dense list of the coefficients, lowest degree first; a copy."""
+        return [self.coeff(k) for k in range(self.degree() + 1)]
 
     @classmethod
     def zero(cls, n_gen: int) -> "UniPoly":
@@ -49,87 +57,36 @@ class UniPoly:
     def x(cls, n_gen: int) -> "UniPoly":
         return cls(n_gen, [Multivector.zero(n_gen), Multivector.one(n_gen)])
 
+    def _coeff(self, value):
+        if isinstance(value, Multivector):
+            return value if value.n_gen == self._dim else None
+        if isinstance(value, (int, Fraction)):
+            return Multivector.scalar(self._dim, value)
+        return None
+
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return max(self.terms, default=-1)
 
     def coeff(self, k: int) -> Multivector:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Multivector.zero(self.n_gen)
+        return self.terms.get(k) or Multivector.zero(self._dim)
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.const(Multivector.scalar(self.n_gen, other))
-        elif isinstance(other, Multivector):
-            other = UniPoly.const(other)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.n_gen, [self.coeff(k) + other.coeff(k) for k in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly(self.n_gen, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Multivector)):
-            return UniPoly(self.n_gen, [c * other for c in self.coeffs])
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UniPoly.zero(self.n_gen)
-        out = [Multivector.zero(self.n_gen) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return UniPoly(self.n_gen, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        if isinstance(other, Multivector):
-            return UniPoly(self.n_gen, [other * c for c in self.coeffs])
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        return _power(self, k, UniPoly.one(self.n_gen))
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.n_gen == other.n_gen and self.coeffs == other.coeffs
+    # bound in the class itself: the bench tracer wraps only a class's own methods
+    __mul__ = _Sparse.__mul__
+    __rmul__ = _Sparse.__rmul__
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
+        for k in sorted(self.terms, reverse=True):
             xs = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-            ctext = str(c)
+            ctext = str(self.terms[k])
             if xs and ctext == "1":
                 parts.append(xs)
             elif xs:
                 parts.append(f"({ctext})*{xs}")
             else:
                 parts.append(f"({ctext})")
-        return " + ".join(parts)
+        return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
         return f"UniPoly({self!s})"
@@ -191,9 +148,9 @@ def _schur(outer, inner, left, right, n_gen):
     c = char_poly_block(inner, n_gen)
     adj_right = mat_mul_entries(adjugate(_x_minus(inner, n_gen), one), _const_grid(right))
     grid = [
-        [c * e - sum((u * v[j] for u, v in zip(left[i], adj_right)), zero)
+        [c * e - sum((u * v[j] for u, v in zip(left_row, adj_right)), zero)
          for j, e in enumerate(row)]
-        for i, row in enumerate(_x_minus(outer, n_gen))
+        for left_row, row in zip(_const_grid(left), _x_minus(outer, n_gen))
     ]
     return c, det(grid, one=one)
 

@@ -24,6 +24,13 @@ def _positive(value):
     return n
 
 
+def _nonnegative(value):
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return n
+
+
 class UsageError(Exception):
     """Bad command-line input; reported as one stderr line with exit 2."""
 
@@ -47,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, seeded=False):
-        sp.add_argument("p", type=_positive, help="even-block dimension")
-        sp.add_argument("q", type=_positive, help="odd-block dimension")
+        sp.add_argument("p", type=_nonnegative, help="even-block dimension")
+        sp.add_argument("q", type=_nonnegative, help="odd-block dimension")
         if seeded:
             sp.add_argument("--seed", type=int, default=None, help="RNG seed")
         # a sampled report has no LaTeX rendering
@@ -176,6 +183,8 @@ def main(argv=None) -> int:
         "newton": cmd_newton,
     }
     try:
+        if args.command != "newton" and args.p + args.q < 1:
+            raise UsageError("need p + q >= 1")
         if args.command in ("verify", "charfn"):
             try:
                 check_sampler_args(args.generators, args.soul_grade)

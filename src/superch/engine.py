@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import factorial
 
 from .matrices import adjugate, det
-from .poly import SPoly, SRational, TruncSeries, _Packing, _ZPoly
+from .poly import SPoly, SRational, TruncSeries, _json_fields, _Packing, _ZPoly
 
 
 class DerivationError(RuntimeError):
@@ -172,10 +172,10 @@ class CHIdentity:
 
     @classmethod
     def from_json(cls, data) -> "CHIdentity":
-        try:
-            p, q, coeffs = int(data["p"]), int(data["q"]), data["coeffs"]
-        except KeyError as exc:
-            raise ValueError(f"identity JSON has no {exc.args[0]!r} key") from None
+        p, q, coeffs = _json_fields(data, "identity", "p", "q", "coeffs")
+        if not isinstance(coeffs, list):
+            raise ValueError(f"identity JSON 'coeffs' must be a list, got {type(coeffs).__name__}")
+        p, q = int(p), int(q)
         return cls(p, q, [SPoly.from_json(p + q, c) for c in coeffs])
 
     def render(self, fmt: str) -> str:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
-from .poly import _add_terms, _as_fraction, _power, _render_terms, _terms_from_json
+from .poly import _as_fraction, _json_fields, _render_terms, _Sparse, _terms_from_json
 
 
 class ParityError(ValueError):
@@ -57,10 +58,11 @@ def _merge_sign(m1: int, m2: int) -> int:
     return -1 if swaps & 1 else 1
 
 
-class Multivector:
+class Multivector(_Sparse):
     """Sparse Grassmann-algebra element: map blade-mask -> rational coefficient."""
 
-    __slots__ = ("n_gen", "terms")
+    __slots__ = ()
+    _mismatch = "generator count mismatch"
 
     def __init__(self, n_gen: int, terms=None):
         if n_gen < 0:
@@ -74,8 +76,10 @@ class Multivector:
                 coeff = _as_fraction(coeff)
                 if coeff:
                     clean[mask] = coeff
-        self.n_gen = n_gen
+        self._dim = n_gen
         self.terms = clean
+
+    n_gen = property(attrgetter("_dim"), doc="Number of generators e1..eN.")
 
     # -- constructors ------------------------------------------------------
 
@@ -108,50 +112,13 @@ class Multivector:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_same(self, other: "Multivector"):
-        if self.n_gen != other.n_gen:
-            raise ValueError("generator count mismatch")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Multivector.scalar(self.n_gen, other)
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        self._check_same(other)
-        out = Multivector.__new__(Multivector)
-        out.n_gen = self.n_gen
-        out.terms = _add_terms(self.terms, other.terms)
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = Multivector.__new__(Multivector)
-        out.n_gen = self.n_gen
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Multivector) else -_as_fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return Multivector.zero(self.n_gen)
-            out = Multivector.__new__(Multivector)
-            out.n_gen = self.n_gen
-            out.terms = {m: k * c for m, k in self.terms.items()}
-            return out
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        self._check_same(other)
+    @staticmethod
+    def _product(a, b):
+        """Blade product: overlapping blades vanish, disjoint ones merge with
+        the sign of the interleaving."""
         acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 if m1 & m2:
                     continue
                 m = m1 | m2
@@ -167,31 +134,11 @@ class Multivector:
                         acc[m] = s
                     else:
                         del acc[m]
-        out = Multivector.__new__(Multivector)
-        out.n_gen = self.n_gen
-        out.terms = acc
-        return out
+        return acc
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other  # scalars are central
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        return _power(self, k, Multivector.one(self.n_gen))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Multivector.scalar(self.n_gen, other)
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self.n_gen == other.n_gen and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n_gen, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
+    # bound in the class itself: the bench tracer wraps only a class's own methods
+    __add__ = __radd__ = _Sparse.__add__
+    __mul__ = _Sparse.__mul__
 
     # -- structure ---------------------------------------------------------
 
@@ -199,10 +146,7 @@ class Multivector:
         return self.terms.get(0, Fraction(0))
 
     def soul(self) -> "Multivector":
-        out = Multivector.__new__(Multivector)
-        out.n_gen = self.n_gen
-        out.terms = {m: c for m, c in self.terms.items() if m}
-        return out
+        return self._like({m: c for m, c in self.terms.items() if m})
 
     def grades(self):
         return {m.bit_count() for m in self.terms}
@@ -260,13 +204,8 @@ class Multivector:
 
     @classmethod
     def from_json(cls, data) -> "Multivector":
-        if not isinstance(data, dict):
-            raise ValueError(f"multivector JSON must be an object, got {type(data).__name__}")
-        try:
-            n_gen, terms = int(data["N"]), data["terms"]
-        except KeyError as exc:
-            raise ValueError(f"multivector JSON has no {exc.args[0]!r} key") from None
-        return cls.from_blades(n_gen, _terms_from_json(terms, "blade"))
+        n_gen, terms = _json_fields(data, "multivector", "N", "terms")
+        return cls.from_blades(int(n_gen), _terms_from_json(terms, "blade"))
 
     def __str__(self):
         return _render_terms(

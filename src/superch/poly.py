@@ -3,10 +3,14 @@
 The symbol Sj carries weight j, so the weighted degree of a monomial
 S1^e1 * ... * Sn^en is sum(j * ej).  Coefficients are exact rationals.
 Also provides rational pairs and order-truncated power series in a formal
-variable t, which is all the generating-function machinery needs, and the
-rules the other algebras of the package share: coefficient coercion
-(``_as_fraction``), sparse addition (``_add_terms``), powering (``_power``)
-and plain-text rendering of a sum of terms (``_render_terms``).
+variable t, which is all the generating-function machinery needs, and what
+the other algebras of the package share.  Every ring here (SPoly, the
+integer kernel ``_ZPoly``, ``grassmann.Multivector`` and ``charfn.UniPoly``)
+subclasses ``_Sparse``, an element stored as {key: nonzero coeff}, which
+owns sums, negation, scaling, powers, comparison, hashing and truth; each
+subclass supplies only what a key is, which key is the unit, which values
+are scalars, and its product.  Powering (``_power``) and plain-text
+rendering of a sum of terms (``_render_terms``) are shared the same way.
 
 Every sparse product runs in one kernel, ``_mul_terms``, on packed monomial
 keys (Kronecker substitution).  With a slot width of w bits the monomial
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, attrgetter
 
 
 class NotDivisibleError(ValueError):
@@ -64,6 +68,16 @@ def _terms_from_json(data, key):
     return pairs
 
 
+def _json_fields(data, what, *keys):
+    """The values of ``keys`` in the JSON object ``data``, which holds a ``what``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} JSON has no {key!r} key")
+    return [data[key] for key in keys]
+
+
 def grlex_key(exps):
     """Graded lexicographic sort key (larger key = leading)."""
     return (sum(exps), exps)
@@ -79,22 +93,6 @@ def _mul_terms(a: dict, b: dict) -> dict:
             prev = get(k)
             acc[k] = c1 * c2 if prev is None else prev + c1 * c2
     return {k: c for k, c in acc.items() if c}
-
-
-def _add_terms(a: dict, b: dict) -> dict:
-    """Sparse sum of two {key: coeff} dicts (monomials or blades)."""
-    out = dict(a)
-    for k, c in b.items():
-        prev = out.get(k)
-        if prev is None:
-            out[k] = c
-        else:
-            s = prev + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
 
 
 def _power(base, k: int, one):
@@ -140,6 +138,98 @@ def _render_terms(terms):
     return " ".join(parts) if parts else "0"
 
 
+class _Sparse:
+    """Ring element stored as {key: nonzero coeff} in ``terms``.
+
+    Both operands of a binary operation must share ``_dim`` (symbol or
+    generator count; None for ``_ZPoly``), else ``_mismatch`` is raised.  A
+    subclass supplies the key of the unit (``_unit``), the coefficient a
+    scalar becomes (``_coeff``, None for a value that is not a scalar of the
+    ring) and the product of two term dicts (``_product``, by default
+    ``_mul_terms`` for keys that add).  Scalars multiply on the side they
+    are written, so the coefficients need not commute.
+    """
+
+    __slots__ = ("_dim", "terms")
+    _unit = 0
+    _mismatch = "dimension mismatch"
+    _product = staticmethod(_mul_terms)
+
+    def _coeff(self, value):
+        return _as_fraction(value) if isinstance(value, (int, Fraction)) else None
+
+    def _like(self, terms):
+        """An element of this ring and dimension; ``terms`` is not copied."""
+        out = object.__new__(type(self))
+        out._dim = self._dim
+        out.terms = terms
+        return out
+
+    def _terms_of(self, other):
+        """Terms of an element of this ring or of a scalar, else None."""
+        if type(other) is type(self):
+            if other._dim != self._dim:
+                raise ValueError(self._mismatch)
+            return other.terms
+        c = self._coeff(other)
+        if c is None:
+            return None
+        return {self._unit: c} if c else {}
+
+    def __add__(self, other):
+        terms = self._terms_of(other)
+        if terms is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in terms.items():
+            prev = out.get(k)
+            if prev is None:
+                out[k] = c
+            elif s := prev + c:
+                out[k] = s
+            else:
+                del out[k]
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        terms = self._terms_of(other)
+        if terms is None:
+            return NotImplemented
+        return self._like(self._product(self.terms, terms))
+
+    def __rmul__(self, other):
+        terms = self._terms_of(other)
+        if terms is None:
+            return NotImplemented
+        return self._like(self._product(terms, self.terms))
+
+    def __pow__(self, k: int):
+        return _power(self, k, self._like({self._unit: self._coeff(1)}))
+
+    def __eq__(self, other):
+        if type(other) is type(self) and other._dim != self._dim:
+            return False
+        terms = self._terms_of(other)
+        return NotImplemented if terms is None else self.terms == terms
+
+    def __hash__(self):
+        return hash((self._dim, frozenset(self.terms.items())))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
 class _Packing:
     """Packs exponent vectors of ``nsym`` symbols into integer keys.
 
@@ -168,49 +258,33 @@ class _Packing:
 
     def to_spoly(self, poly: "_ZPoly", denominator: int) -> "SPoly":
         """poly / denominator as an SPoly over Q."""
-        out = SPoly.__new__(SPoly)
-        out.nsym = self.nsym
-        out.terms = {
-            self.unpack(k): Fraction(c, denominator) for k, c in poly.terms.items()
-        }
-        return out
+        return SPoly.zero(self.nsym)._like(
+            {self.unpack(k): Fraction(c, denominator) for k, c in poly.terms.items()}
+        )
 
 
-class _ZPoly:
+class _ZPoly(_Sparse):
     """Polynomial over Z on packed keys; the ring the derivation runs in.
 
-    Supports +, unary - and * only, which is all ``det``, ``adjugate`` and
-    ``TruncSeries`` need; the ``_Packing`` that built it converts it to SPoly.
+    The ``_Packing`` that built it converts it to SPoly.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         """``terms`` maps packed keys to nonzero ints; it is not copied."""
+        self._dim = None
         self.terms = {} if terms is None else terms
 
-    def __add__(self, other):
-        return _ZPoly(_add_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return _ZPoly({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        return _ZPoly(_mul_terms(self.terms, other.terms))
-
-    def __eq__(self, other):
-        if not isinstance(other, _ZPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
+    def _coeff(self, value):
+        return value if isinstance(value, int) else None
 
 
-class SPoly:
+class SPoly(_Sparse):
     """Polynomial over Q in symbols S1..Sn, stored as exponent-tuple -> coeff."""
 
-    __slots__ = ("nsym", "terms")
+    __slots__ = ()
+    _mismatch = "symbol count mismatch"
 
     def __init__(self, nsym: int, terms=None):
         clean = {}
@@ -223,8 +297,14 @@ class SPoly:
                 coeff = _as_fraction(coeff)
                 if coeff:
                     clean[tuple(exps)] = coeff
-        self.nsym = nsym
+        self._dim = nsym
         self.terms = clean
+
+    nsym = property(attrgetter("_dim"), doc="Number of symbols S1..Sn.")
+
+    @property
+    def _unit(self):
+        return (0,) * self._dim
 
     # -- constructors ------------------------------------------------------
 
@@ -255,78 +335,20 @@ class SPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_same(self, other: "SPoly"):
-        if self.nsym != other.nsym:
-            raise ValueError("symbol count mismatch")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SPoly.const(self.nsym, other)
-        if not isinstance(other, SPoly):
-            return NotImplemented
-        self._check_same(other)
-        out = SPoly.__new__(SPoly)
-        out.nsym = self.nsym
-        out.terms = _add_terms(self.terms, other.terms)
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = SPoly.__new__(SPoly)
-        out.nsym = self.nsym
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SPoly.const(self.nsym, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            out = SPoly.__new__(SPoly)
-            out.nsym = self.nsym
-            out.terms = {e: k * c for e, k in self.terms.items()} if c else {}
-            return out
-        if not isinstance(other, SPoly):
-            return NotImplemented
-        self._check_same(other)
-        out = SPoly.__new__(SPoly)
-        out.nsym = self.nsym
-        if not self.terms or not other.terms:
-            out.terms = {}
-            return out
-        packing = _Packing(self.nsym, _max_exponent(self.terms) + _max_exponent(other.terms))
+    def _product(self, a, b):
+        """Product on packed keys, packed afresh for each pair of operands."""
+        if not a or not b:
+            return {}
+        packing = _Packing(self._dim, _max_exponent(a) + _max_exponent(b))
         pack, unpack = packing.pack, packing.unpack
         product = _mul_terms(
-            {pack(e): c for e, c in self.terms.items()},
-            {pack(e): c for e, c in other.terms.items()},
+            {pack(e): c for e, c in a.items()},
+            {pack(e): c for e, c in b.items()},
         )
-        out.terms = {unpack(k): c for k, c in product.items()}
-        return out
+        return {unpack(k): c for k, c in product.items()}
 
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        return _power(self, k, SPoly.one(self.nsym))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SPoly.const(self.nsym, other)
-        if not isinstance(other, SPoly):
-            return NotImplemented
-        return self.nsym == other.nsym and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nsym, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
+    # bound in the class itself: the bench tracer wraps only a class's own methods
+    __mul__ = _Sparse.__mul__
 
     # -- structure ---------------------------------------------------------
 
@@ -355,27 +377,20 @@ class SPoly:
 
     def flip_signs(self) -> "SPoly":
         """Substitute Sj -> -Sj for every j."""
-        out = SPoly.__new__(SPoly)
-        out.nsym = self.nsym
-        out.terms = {
-            e: (-c if sum(e) & 1 else c) for e, c in self.terms.items()
-        }
-        return out
+        return self._like({e: (-c if sum(e) & 1 else c) for e, c in self.terms.items()})
 
     def zero_odd_symbols(self) -> "SPoly":
         """Set S1, S3, S5, ... to zero (OSp specialization)."""
-        out = SPoly.__new__(SPoly)
-        out.nsym = self.nsym
-        out.terms = {
+        return self._like({
             e: c
             for e, c in self.terms.items()
             if not any(e[j] for j in range(0, self.nsym, 2))
-        }
-        return out
+        })
 
     def divide_exact(self, divisor: "SPoly") -> "SPoly":
         """Return q with self = q * divisor, else raise NotDivisibleError."""
-        self._check_same(divisor)
+        if divisor.nsym != self.nsym:
+            raise ValueError(self._mismatch)
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
         lexp, lcoeff = divisor.lead()

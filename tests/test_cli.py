@@ -54,9 +54,22 @@ class TestDerive:
             "leading OSp coefficient vanished\n"
         )
 
-    def test_invalid_dims_usage_error(self, capsys):
+    def test_empty_odd_block(self, capsys):
+        # q = 0 is the classical Cayley-Hamilton theorem
+        code, out = run(capsys, "derive", "2", "0")
+        assert code == 0
+        assert "(p,q) = (2,0)" in out and "[I] 1/2*S1^2 - 1/2*S2" in out
+
+    def test_empty_shape_is_usage_error(self, capsys):
+        code = main(["derive", "0", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "superch derive: need p + q >= 1\n"
+
+    def test_negative_dims_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["derive", "0", "1"])
+            main(["derive", "-1", "1"])
         assert exc.value.code == 2
 
     def test_seed_is_usage_error(self, capsys):
@@ -86,6 +99,11 @@ class TestVerify:
         code, out = run(capsys, "verify", "2", "1", "--trials", "5", "--seed", "7")
         assert code == 0
         assert "5/5 passed" in out
+
+    def test_empty_even_block(self, capsys):
+        code, out = run(capsys, "verify", "0", "2", "--trials", "2", "--seed", "1")
+        assert code == 0
+        assert "2/2 passed" in out
 
     def test_json_deterministic(self, capsys):
         args = ("verify", "1", "1", "--trials", "3", "--seed", "5", "--format", "json")
@@ -141,6 +159,17 @@ class TestCharfn:
     ])
     def test_text_pinned(self, capsys, seed, digest):
         code, out = run(capsys, "charfn", "2", "1", "--seed", seed)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # sha256 of the whole JSON output, recorded while UniPoly still kept a
+    # dense coefficient list
+    @pytest.mark.parametrize("pq, seed, digest", [
+        (("2", "1"), "3", "4c98e672ac6407507aad1d5a7e95b520fa7ef2fdf844203eda598726de499a06"),
+        (("3", "2"), "11", "a4fe42f291cfe322f4d6e7d986b14e533c89bdf2786848308e33b5070a7d6eec"),
+    ])
+    def test_json_pinned(self, capsys, pq, seed, digest):
+        code, out = run(capsys, "charfn", *pq, "--seed", seed, "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -12,6 +12,7 @@ from superch import (
     DerivationError,
     SPoly,
     SRational,
+    SuperMatrix,
     adjugate,
     build_b_matrix,
     det,
@@ -201,6 +202,17 @@ class TestRendering:
         with pytest.raises(ValueError, match="'coeffs'"):
             CHIdentity.from_json({"p": 1, "q": 1})
 
+    @pytest.mark.parametrize("load, data, match", [
+        (CHIdentity.from_json, [1, 2], "must be an object, got list"),
+        (SuperMatrix.from_json, [1], "must be an object, got list"),
+        (CHIdentity.from_json, {"p": 1, "q": 1, "coeffs": 5}, "'coeffs' must be a list"),
+        (SuperMatrix.from_json, {"p": 1, "q": 0, "N": 2, "entries": 5}, "'entries' must be a list"),
+        (SuperMatrix.from_json, {"p": 1, "q": 0, "N": 2, "entries": [5]}, "'entries' must be a list"),
+    ])
+    def test_from_json_rejects_malformed_payload(self, load, data, match):
+        with pytest.raises(ValueError, match=match):
+            load(data)
+
     def test_from_json_rejects_float_coefficient(self):
         data = identity_coeffs(1, 1).to_json()
         data["coeffs"][0][0]["coeff"] = 1.0
@@ -270,8 +282,9 @@ OSP_DIGESTS = {
     (6, 2): "d0d1b00bb6ac25f48365a388c950fa3172159eaaf00475ca87f74e7539b6acca",
 }
 
-# With q odd there is no symplectic form: the top coefficient vanishes once
-# the odd supertraces are set to zero.
+# With p and q both odd the top coefficient vanishes once the odd
+# supertraces are set to zero, so there is no OSp identity; (2,1), (4,1),
+# (1,2) and (2,3) have one.
 OSP_ODD_Q = [(1, 1), (3, 1), (3, 3)]
 
 NEWTON_DIGESTS = {

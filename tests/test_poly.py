@@ -12,6 +12,7 @@ from superch import (
     SPoly,
     SRational,
     TruncSeries,
+    UniPoly,
 )
 from superch.poly import _Packing, _ZPoly
 
@@ -377,3 +378,63 @@ class TestPower:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             syms()[0] ** -1
+
+
+def _spoly_case():
+    s1, s2 = syms(2)
+    return s1 - 2 * s2 + F(1, 2), lambda v: SPoly.const(2, v), SPoly.symbol(3, 1), Multivector.one(2)
+
+
+def _multivector_case():
+    e12 = Multivector.from_blades(3, [((1, 2), 1)])
+    x = 3 + e12 - Multivector.generator(3, 3)
+    return x, lambda v: Multivector.scalar(3, v), Multivector.one(4), SPoly.one(3)
+
+
+def _unipoly_case():
+    x = UniPoly.x(3)
+    e12 = Multivector.from_blades(3, [((1, 2), 1)])
+    elem = x * x - (e12 + 2) * x + 3
+    return elem, lambda v: UniPoly.const(Multivector.scalar(3, v)), UniPoly.x(4), SPoly.one(3)
+
+
+class TestRingContract:
+    """The rules every sparse ring shares, checked on each of them."""
+
+    @pytest.fixture(params=[_spoly_case, _multivector_case, _unipoly_case],
+                    ids=["SPoly", "Multivector", "UniPoly"])
+    def case(self, request):
+        return request.param()
+
+    def test_scalar_on_either_side(self, case):
+        x, const, _, _ = case
+        assert x + 2 == 2 + x == x + const(2)
+        assert x - 2 == -(2 - x) == x + const(-2)
+        assert x * F(1, 2) == F(1, 2) * x == x * const(F(1, 2))
+        assert const(3) == 3 and const(F(1, 2)) != 1
+        assert not x * 0 and not 0 * x
+
+    def test_cancellation_and_unit(self, case):
+        x, const, _, _ = case
+        assert not x - x
+        assert x ** 0 == const(1) == 1
+        assert x ** 2 == x * x
+
+    def test_dimension_mismatch(self, case):
+        x, _, other_dim, _ = case
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(ValueError):
+                op(x, other_dim)
+
+    def test_product_across_classes(self, case):
+        x, _, _, foreign = case
+        with pytest.raises(TypeError):
+            x * foreign
+        with pytest.raises(TypeError):
+            foreign * x
+
+    def test_hash_agrees_with_eq(self, case):
+        x, const, _, _ = case
+        same = (x + x) - x
+        assert same == x and hash(same) == hash(x)
+        assert len({x, same, x + const(1), const(1) + x}) == 2
