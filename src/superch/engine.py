@@ -27,11 +27,10 @@ out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import factorial
 
 from .matrices import adjugate, det
-from .poly import SPoly, SRational, TruncSeries, _json_fields, _Packing, _ZPoly
+from .poly import SPoly, SRational, TruncSeries, _json_count, _json_fields, _Packing, _ZPoly
 
 
 class DerivationError(RuntimeError):
@@ -172,10 +171,12 @@ class CHIdentity:
 
     @classmethod
     def from_json(cls, data) -> "CHIdentity":
-        p, q, coeffs = _json_fields(data, "identity", "p", "q", "coeffs")
+        _, _, coeffs = _json_fields(data, "identity", "p", "q", "coeffs")
         if not isinstance(coeffs, list):
             raise ValueError(f"identity JSON 'coeffs' must be a list, got {type(coeffs).__name__}")
-        p, q = int(p), int(q)
+        p, q = (_json_count(data, "identity", k) for k in ("p", "q"))
+        if len(coeffs) != p + q + 1:
+            raise ValueError(f"identity JSON 'coeffs' must hold p + q + 1 = {p + q + 1} entries")
         return cls(p, q, [SPoly.from_json(p + q, c) for c in coeffs])
 
     def render(self, fmt: str) -> str:
@@ -222,53 +223,36 @@ def identity_coeffs(p: int, q: int) -> CHIdentity:
     return CHIdentity(p, q, coeffs)
 
 
-def _to_sympy(poly: SPoly, syms):
-    import sympy
-
-    acc = sympy.Integer(0)
-    for exps, coeff in poly.terms.items():
-        term = sympy.Rational(coeff.numerator, coeff.denominator)
-        for s, e in zip(syms, exps):
-            if e:
-                term *= s ** e
-        acc += term
-    return acc
-
-
-def _from_sympy(expr, nsym, syms) -> SPoly:
-    import sympy
-
-    p = sympy.Poly(expr, *syms)
-    terms = {}
-    for exps, coeff in p.terms():
-        coeff = sympy.Rational(coeff)
-        terms[tuple(int(e) for e in exps)] = Fraction(int(coeff.p), int(coeff.q))
-    return SPoly(nsym, terms)
-
-
 def osp_specialize(ident: CHIdentity) -> CHIdentity:
-    """Specialize to OSp: kill odd-index supertraces, strip common factor.
+    """Specialize to OSp, where the odd supertraces S1, S3, ... vanish.
 
-    All odd powers of an OSp matrix have vanishing supertrace, so S1, S3,
-    ... are set to zero; the surviving coefficients then share a polynomial
-    factor which is divided out, and the result is rescaled so the leading
-    (graded-lex) monomial of the top coefficient has coefficient +1.
+    On OSp the body spectra pair up as +-lambda_i and +-delta_k (plus a 0 in
+    a block of odd size), so M^2 acts like a (p//2, q//2) supermatrix with
+    each eigenvalue taken twice, whose supertraces are S_2k / 2.  The result
+    is that identity with S_k -> S_2k / 2 and M -> M^2, times M when p + q
+    is odd, scaled so the leading (graded-lex) monomial of the top
+    coefficient is +1.  With p and q both odd, 0 lies in both spectra and
+    the top coefficient vanishes.  The given identity, with S1, S3, ... set
+    to zero, must be a multiple of the result.
     """
-    import sympy
-
     specialized = [c.zero_odd_symbols() for c in ident.coeffs]
-    nonzero = [c for c in specialized if c]
-    if not nonzero:
+    if not any(specialized):
         raise ValueError("vacuous OSp identity")
-    nsym = ident.nsym
-    syms = [sympy.Symbol(f"S{j}") for j in range(1, nsym + 1)]
-    gcd_expr = sympy.Integer(0)
-    for c in nonzero:
-        gcd_expr = sympy.gcd(gcd_expr, _to_sympy(c, syms))
-    common = _from_sympy(sympy.expand(gcd_expr), nsym, syms)
-    reduced = [c.divide_exact(common) if c else c for c in specialized]
-    if not reduced[0]:
+    p, q, nsym = ident.p, ident.q, ident.nsym
+    if not specialized[0] or p % 2 and q % 2:
         raise DerivationError("leading OSp coefficient vanished")
-    _, lead_coeff = reduced[0].lead()
-    inv = 1 / lead_coeff
-    return CHIdentity(ident.p, ident.q, [c * inv for c in reduced])
+    half = identity_coeffs(p // 2, q // 2).coeffs if p + q > 1 else [SPoly.one(0)]
+    coeffs = []
+    for c in half:
+        terms = {}
+        for e, x in c.terms.items():
+            exps = [0] * nsym
+            exps[1::2] = e
+            terms[tuple(exps)] = x / 2 ** sum(e)
+        coeffs += [SPoly(nsym, terms), SPoly.zero(nsym)]
+    inv = 1 / coeffs[0].lead()[1]
+    coeffs = [c * inv for c in coeffs[: ident.n + 1]]
+    for c, s in zip(coeffs, specialized, strict=True):
+        if c * specialized[0] != s * coeffs[0]:
+            raise DerivationError("identity does not restrict to a multiple of the OSp identity")
+    return CHIdentity(p, q, coeffs)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
 
-from .poly import _as_fraction, _json_fields, _render_terms, _Sparse, _terms_from_json
+from .poly import _as_fraction, _json_count, _json_fields, _render_terms, _Sparse, _terms_from_json
 
 
 class ParityError(ValueError):
@@ -204,8 +204,9 @@ class Multivector(_Sparse):
 
     @classmethod
     def from_json(cls, data) -> "Multivector":
-        n_gen, terms = _json_fields(data, "multivector", "N", "terms")
-        return cls.from_blades(int(n_gen), _terms_from_json(terms, "blade"))
+        _, terms = _json_fields(data, "multivector", "N", "terms")
+        n_gen = _json_count(data, "multivector", "N")
+        return cls.from_blades(n_gen, _terms_from_json(terms, "blade"))
 
     def __str__(self):
         return _render_terms(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .grassmann import Multivector, ParityError
-from .poly import SPoly, _json_fields, _power
+from .poly import SPoly, _json_count, _json_fields, _power
 
 # Seeded attempts per sample before giving up on a nondegenerate one
 SAMPLE_ATTEMPTS = 100
@@ -226,11 +226,12 @@ class SuperMatrix:
 
     @classmethod
     def from_json(cls, data) -> "SuperMatrix":
-        p, q, n_gen, rows = _json_fields(data, "supermatrix", "p", "q", "N", "entries")
+        *_, rows = _json_fields(data, "supermatrix", "p", "q", "N", "entries")
+        p, q, n_gen = (_json_count(data, "supermatrix", k) for k in ("p", "q", "N"))
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError("supermatrix JSON 'entries' must be a list of lists")
         entries = [[Multivector.from_json(e) for e in row] for row in rows]
-        return cls(int(p), int(q), int(n_gen), entries)
+        return cls(p, q, n_gen, entries)
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)

@@ -78,6 +78,14 @@ def _json_fields(data, what, *keys):
     return [data[key] for key in keys]
 
 
+def _json_count(data, what, key):
+    """``data[key]`` of a ``what``, which must be a JSON integer >= 0."""
+    value = data[key]
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} JSON {key!r} must be an integer >= 0, got {value!r}")
+    return value
+
+
 def grlex_key(exps):
     """Graded lexicographic sort key (larger key = leading)."""
     return (sum(exps), exps)
@@ -224,6 +232,9 @@ class _Sparse:
         return NotImplemented if terms is None else self.terms == terms
 
     def __hash__(self):
+        # a constant equals its scalar, so it hashes like it (zero like 0)
+        if not self.terms.keys() - {self._unit}:
+            return hash(self.terms.get(self._unit, 0))
         return hash((self._dim, frozenset(self.terms.items())))
 
     def __bool__(self):

@@ -11,12 +11,17 @@ the memoized Laplace expansion of ``superch.det``; ``verify_factorization``
 multiplies two matrix-polynomial factors out and compares the product with
 an identity; ``blade_mul`` multiplies two index-tuple blades, as a
 reference for the bitmask sign rule inside ``Multivector.__mul__``.
+
+``osp_specialize_gcd`` reaches the OSp identity the long way: it sets the
+odd supertraces to zero in the full identity and divides out the sympy gcd
+of the surviving coefficients; ``superch.osp_specialize`` must give the same
+bytes, or the same error, from the half-size identity.
 """
 
 import itertools
 from fractions import Fraction
 
-from superch import Multivector, SPoly, det
+from superch import CHIdentity, DerivationError, Multivector, SPoly, det
 from superch.charfn import char_poly_block
 from superch.grassmann import _merge_sign, indices_from_mask, mask_from_indices
 
@@ -109,3 +114,55 @@ def blade_mul(b1, b2):
     if m1 & m2:
         return 0, ()
     return _merge_sign(m1, m2), indices_from_mask(m1 | m2)
+
+
+def _to_sympy(poly: SPoly, syms):
+    import sympy
+
+    acc = sympy.Integer(0)
+    for exps, coeff in poly.terms.items():
+        term = sympy.Rational(coeff.numerator, coeff.denominator)
+        for s, e in zip(syms, exps):
+            if e:
+                term *= s ** e
+        acc += term
+    return acc
+
+
+def _from_sympy(expr, nsym, syms) -> SPoly:
+    import sympy
+
+    p = sympy.Poly(expr, *syms)
+    terms = {}
+    for exps, coeff in p.terms():
+        coeff = sympy.Rational(coeff)
+        terms[tuple(int(e) for e in exps)] = Fraction(int(coeff.p), int(coeff.q))
+    return SPoly(nsym, terms)
+
+
+def osp_specialize_gcd(ident: CHIdentity) -> CHIdentity:
+    """Specialize to OSp: kill odd-index supertraces, strip common factor.
+
+    All odd powers of an OSp matrix have vanishing supertrace, so S1, S3,
+    ... are set to zero; the surviving coefficients then share a polynomial
+    factor which is divided out, and the result is rescaled so the leading
+    (graded-lex) monomial of the top coefficient has coefficient +1.
+    """
+    import sympy
+
+    specialized = [c.zero_odd_symbols() for c in ident.coeffs]
+    nonzero = [c for c in specialized if c]
+    if not nonzero:
+        raise ValueError("vacuous OSp identity")
+    nsym = ident.nsym
+    syms = [sympy.Symbol(f"S{j}") for j in range(1, nsym + 1)]
+    gcd_expr = sympy.Integer(0)
+    for c in nonzero:
+        gcd_expr = sympy.gcd(gcd_expr, _to_sympy(c, syms))
+    common = _from_sympy(sympy.expand(gcd_expr), nsym, syms)
+    reduced = [c.divide_exact(common) if c else c for c in specialized]
+    if not reduced[0]:
+        raise DerivationError("leading OSp coefficient vanished")
+    _, lead_coeff = reduced[0].lead()
+    inv = 1 / lead_coeff
+    return CHIdentity(ident.p, ident.q, [c * inv for c in reduced])

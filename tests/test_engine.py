@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from fixtures import GOLDEN, factorize_small, factors_21, identity_22_osp, identity_24_osp
-from oracles import verify_factorization
+from oracles import osp_specialize_gcd, verify_factorization
 from superch import (
     CHIdentity,
     DerivationError,
@@ -178,6 +178,46 @@ class TestOSp:
             osp_specialize(fake)
 
 
+# Every shape with p + q <= 7, unflipped, and the flipped (4,2) identity
+OSP_SWEEP = [((p, n - p), False) for n in range(1, 8) for p in range(n + 1)] + [((4, 2), True)]
+
+
+def _osp_outcome(specialize, ident):
+    """The to_json() bytes of the OSp identity, or the DerivationError text."""
+    try:
+        return json.dumps(specialize(ident).to_json())
+    except DerivationError as exc:
+        return f"DerivationError: {exc}"
+
+
+class TestOSpAgainstGcdOracle:
+    @pytest.mark.parametrize("pq, flip", OSP_SWEEP)
+    def test_same_bytes_or_error(self, pq, flip):
+        ident = identity_coeffs(*pq)
+        if flip:
+            ident = ident.flip_signs()
+        assert _osp_outcome(osp_specialize, ident) == _osp_outcome(osp_specialize_gcd, ident)
+
+    @pytest.mark.parametrize("pq", [(2, 2), (3, 2), (4, 2)])
+    def test_rejects_identity_that_is_not_a_multiple(self, pq):
+        p, q = pq
+        ident = identity_coeffs(p, q)
+        s2 = SPoly.symbol(ident.nsym, 2)
+        for j in range(0, ident.n + 1, 2):
+            coeffs = list(ident.coeffs)
+            # a_j has weighted degree 2pq + j, and S2 weight 2
+            coeffs[j] = coeffs[j] + s2 ** (p * q + j // 2)
+            with pytest.raises(DerivationError, match="not restrict to a multiple"):
+                osp_specialize(CHIdentity(p, q, coeffs))
+
+    @pytest.mark.parametrize("pq", [(2, 2), (3, 2), (4, 2)])
+    def test_accepts_a_multiple(self, pq):
+        ident = identity_coeffs(*pq)
+        s1, s2 = SPoly.symbols(ident.nsym)[:2]
+        scaled = CHIdentity(*pq, [(s2 + s1 ** 2) * c for c in ident.coeffs])
+        assert osp_specialize(scaled).to_json() == osp_specialize_gcd(ident).to_json()
+
+
 class TestFactorization:
     def test_21_published_factors(self):
         left, right = factors_21()
@@ -212,6 +252,29 @@ class TestRendering:
     def test_from_json_rejects_malformed_payload(self, load, data, match):
         with pytest.raises(ValueError, match=match):
             load(data)
+
+    @pytest.mark.parametrize("cls, field, value, match", [
+        (CHIdentity, "p", "2", "'p' must be an integer >= 0, got '2'"),
+        (CHIdentity, "p", 2.7, "'p' must be an integer >= 0, got 2.7"),
+        (CHIdentity, "p", None, "'p' must be an integer >= 0, got None"),
+        (CHIdentity, "p", [2], "'p' must be an integer >= 0"),
+        (CHIdentity, "p", True, "'p' must be an integer >= 0, got True"),
+        (CHIdentity, "q", -1, "'q' must be an integer >= 0, got -1"),
+        (CHIdentity, "coeffs", 2, "'coeffs' must hold p \\+ q \\+ 1 = 4 entries"),
+        (SuperMatrix, "N", 6.9, "'N' must be an integer >= 0, got 6.9"),
+        (SuperMatrix, "q", False, "'q' must be an integer >= 0, got False"),
+        (SuperMatrix, "p", "2", "'p' must be an integer >= 0"),
+    ])
+    def test_from_json_rejects_bad_count(self, cls, field, value, match):
+        """p, q and N are JSON integers >= 0; an identity has p + q + 1 coefficients."""
+        sample = identity_coeffs(2, 1) if cls is CHIdentity else SuperMatrix.identity(2, 1, 2)
+        data = sample.to_json()
+        if field == "coeffs":
+            data["coeffs"] = data["coeffs"][:value]
+        else:
+            data[field] = value
+        with pytest.raises(ValueError, match=match):
+            cls.from_json(data)
 
     def test_from_json_rejects_float_coefficient(self):
         data = identity_coeffs(1, 1).to_json()

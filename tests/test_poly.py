@@ -438,3 +438,12 @@ class TestRingContract:
         same = (x + x) - x
         assert same == x and hash(same) == hash(x)
         assert len({x, same, x + const(1), const(1) + x}) == 2
+
+    def test_constant_hashes_like_its_scalar(self, case):
+        x, const, _, _ = case
+        assert len({3, const(3)}) == 1 and len({F(1, 2), const(F(1, 2))}) == 1
+        assert hash(x - x) == hash(0)
+
+    def test_unipoly_constant_hashes_like_its_coefficient(self):
+        coeff = 2 + Multivector.from_blades(3, [((1, 2), 1)])
+        assert UniPoly.const(coeff) == coeff and len({coeff, UniPoly.const(coeff)}) == 1
